@@ -34,61 +34,101 @@ def _finish(pairs, rows, cols) -> Assignment:
     )
 
 
-def _hungarian_square(a: np.ndarray):
-    """Shortest-augmenting-path Hungarian method on a square matrix.
+def _shortest_augmenting_path(a: np.ndarray):
+    """Rectangular shortest augmenting path for an (n, m) matrix, n <= m.
 
-    Returns (col_to_row, u, v) where col_to_row[j] is the row matched to
-    column j and (u, v) are dual potentials with
-    a[i, j] - u[i] - v[j] >= 0 (up to float error) and equality on matched
-    edges.
+    Jonker & Volgenant 1987 in the rectangular form of Crouse 2016: each row
+    in turn runs Dijkstra over reduced costs to the nearest free column, so
+    no dummy rows are built and the work is O(n^2 m). Returns (col4row, u, v)
+    where row i is assigned column col4row[i], and the duals satisfy
+    a[i, j] - u[i] - v[j] >= 0 (up to float error) with equality on assigned
+    pairs, v <= 0, and v[j] < 0 only for assigned columns.
     """
-    n = a.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j] = 1-based row matched to col j
-    way = np.zeros(n + 1, dtype=np.int64)
-    idx = np.arange(1, n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    n, m = a.shape
+    u = np.zeros(n)
+    v = np.zeros(m)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(m, -1, dtype=np.int64)
+    for cur in range(n):
+        dist = np.full(m, np.inf)
+        pred = np.zeros(m, dtype=np.int64)
+        todo = np.ones(m, dtype=bool)
+        scanned = []
+        i, lowest = cur, 0.0
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = ~used[1:]
-            cur = a[i0 - 1, :] - u[i0] - v[1:]
-            upd = free & (cur < minv[1:])
-            if upd.any():
-                minv[1:][upd] = cur[upd]
-                way[1:][upd] = j0
-            cand = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(cand)) + 1
-            delta = cand[j1 - 1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            scanned.append(i)
+            reach = lowest + a[i] - u[i] - v
+            better = todo & (reach < dist)
+            dist[better] = reach[better]
+            pred[better] = i
+            cand = np.where(todo, dist, np.inf)
+            j = int(np.argmin(cand))
+            lowest = cand[j]
+            if row4col[j] != -1:
+                # among equally near columns a free one ends the search now
+                free = np.flatnonzero((cand == lowest) & (row4col == -1))
+                if free.size:
+                    j = int(free[0])
+            todo[j] = False
+            if row4col[j] == -1:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col_to_row = p[1:] - 1
-    return col_to_row, u[1:], v[1:]
+            i = row4col[j]
+        u[cur] += lowest
+        rows = np.array(scanned[1:], dtype=np.int64)
+        u[rows] += lowest - dist[col4row[rows]]
+        done = ~todo
+        v[done] -= lowest - dist[done]
+        while True:
+            i = pred[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
 
 
-def _try_augment(row, adj, match_row, match_col, visited, banned):
-    for c in adj[row]:
-        if visited[c] or banned[c]:
-            continue
-        visited[c] = True
-        nxt = match_col[c]
-        if nxt == -1 or _try_augment(nxt, adj, match_row, match_col, visited, banned):
-            match_col[c] = row
-            match_row[row] = c
-            return True
+def _adjacency(mask: np.ndarray) -> list[list[int]]:
+    """Ascending column lists of the True cells of each row of ``mask``."""
+    rows, cols = np.nonzero(mask)
+    bounds = np.searchsorted(rows, np.arange(mask.shape[0] + 1)).tolist()
+    flat = cols.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _try_augment(root, adj, match_row, match_col, visited, banned, shared=(), joins=()):
+    """Look for an augmenting path from the free row ``root``; flip it if found.
+
+    Depth-first search with an explicit stack, so the path length is not
+    bounded by the interpreter's recursion limit. A row scans ``adj[row]`` in
+    ascending order, then ``shared`` as well if ``row in joins``. Joining rows
+    scan ``shared`` through one iterator: every column it has passed is
+    visited already, so the rows that share it cost one pass per search.
+    """
+    tail = iter(shared)
+    chain = itertools.chain
+    rows = [root]
+    scans = [chain(adj[root], tail) if root in joins else iter(adj[root])]
+    while scans:
+        for c in scans[-1]:
+            if visited[c] or banned[c]:
+                continue
+            visited[c] = True
+            nxt = match_col[c]
+            if nxt == -1:
+                # each row takes the column that led to the next one; the
+                # column a row was entered by passes to the row before it
+                for r in reversed(rows):
+                    prev = match_row[r]
+                    match_row[r] = c
+                    match_col[c] = r
+                    c = prev
+                return True
+            rows.append(nxt)
+            scans.append(chain(adj[nxt], tail) if nxt in joins else iter(adj[nxt]))
+            break
+        else:
+            scans.pop()
+            rows.pop()
     return False
 
 
@@ -103,13 +143,17 @@ def _kuhn(adj, n_rows, n_cols):
     return match_row, match_col
 
 
-def _lex_refine(adj, n_rows, n_cols, match_row, match_col):
+def _lex_refine(adj, n_rows, n_cols, match_row, match_col, n_lex=None, shared=(), joins=()):
     """Rewrite a maximum matching into the lexicographically smallest one.
 
-    Scans rows in order; for each row tries columns in ascending order and
-    keeps a candidate only if maximum cardinality stays attainable on the
-    remaining subgraph. ``match_row``/``match_col`` must hold a maximum
-    matching of the full graph and are consumed destructively.
+    Scans rows ``0 .. n_lex - 1`` (default: all) in order; for each row tries
+    columns in ascending order and keeps a candidate only if maximum
+    cardinality stays attainable on the remaining subgraph. A row that can
+    keep no column of ``adj[row]`` keeps its current partner, if it has one:
+    a column outside ``adj[row]``, such as one reached through ``shared``.
+    ``shared`` and ``joins`` extend the graph as in ``_try_augment``.
+    ``match_row``/``match_col`` must hold a maximum matching of the full
+    graph and are consumed destructively.
     """
     used_col = [False] * n_cols
     fixed_row = [False] * n_rows
@@ -125,15 +169,17 @@ def _lex_refine(adj, n_rows, n_cols, match_row, match_col):
     def reaugment(exclude_col, start_row):
         # one augmentation attempt from any free remaining row
         for r in range(start_row, n_rows):
-            if fixed_row[r] or match_row[r] != -1 or not adj[r]:
+            if fixed_row[r] or match_row[r] != -1 or not (adj[r] or r in joins):
                 continue
             banned = used_col.copy()
             banned[exclude_col] = True
-            if _try_augment(r, adj, match_row, match_col, [False] * n_cols, banned):
+            if _try_augment(
+                r, adj, match_row, match_col, [False] * n_cols, banned, shared, joins
+            ):
                 return True
         return False
 
-    for i in range(n_rows):
+    for i in range(n_rows if n_lex is None else n_lex):
         ci = match_row[i]
         chosen = -1
         for c in adj[i]:
@@ -168,6 +214,8 @@ def _lex_refine(adj, n_rows, n_cols, match_row, match_col):
             match_row[i] = ci
             match_col[c] = r_star
             match_row[r_star] = c
+        if chosen == -1:
+            chosen = ci
         if chosen != -1:
             accept(i, chosen)
         else:
@@ -182,32 +230,49 @@ def solve_min_cost(costs: CostMatrix) -> Assignment:
     smallest pair list. Empty matrices yield the empty assignment.
     """
     n_rows, n_cols = costs.rows, costs.cols
-    k = min(n_rows, n_cols)
-    if k == 0:
+    if min(n_rows, n_cols) == 0:
         return _finish([], n_rows, n_cols)
+    a = costs.values
     n = max(n_rows, n_cols)
-    # pad to square with zeros: dummy rows/cols absorb the surplus side
-    sq = np.zeros((n, n))
-    sq[:n_rows, :n_cols] = costs.values
-    col_to_row, u, v = _hungarian_square(sq)
-    # admissible edges: reduced cost within tolerance of zero
-    rc = sq - u[:, None] - v[None, :]
-    adm = rc <= TIE_TOL
-    adj = [np.flatnonzero(adm[r]).tolist() for r in range(n)]
+    transposed = n_rows > n_cols
+    col4row, u, v = _shortest_augmenting_path(a.T if transposed else a)
+    if transposed:
+        u, v = v, u
     match_row = [-1] * n
     match_col = [-1] * n
-    for j, r in enumerate(col_to_row):
-        match_row[r] = j
-        match_col[j] = int(r)
-    pairs = _lex_refine(adj, n, n, match_row, match_col)
-    real = [(r, c) for r, c in pairs if r < n_rows and c < n_cols]
-    return _finish(real, n_rows, n_cols)
+    for i, j in enumerate(col4row.tolist()):
+        r, c = (j, i) if transposed else (i, j)
+        match_row[r] = c
+        match_col[c] = r
+    # Padded to n x n with zero-cost dummy rows (N < M) or columns (N > M)
+    # of dual 0, the optimal solutions are exactly the perfect matchings on
+    # admissible edges (reduced cost within TIE_TOL of 0). A dummy is
+    # admissible against every real line of zero dual, so all dummy rows
+    # reach one shared list of zero-dual columns, and all zero-dual rows
+    # reach one shared list of dummy columns: no dummy edges are built. A
+    # line of negative dual thus stays matched to a real one, as optimality
+    # requires. The refinement stops after the last real row.
+    adj = _adjacency(a - u[:, None] - v[None, :] <= TIE_TOL)
+    if transposed:
+        shared = list(range(n_cols, n))
+        joins = set(np.flatnonzero(u >= -TIE_TOL).tolist())
+    else:
+        adj += [[]] * (n - n_rows)
+        shared = np.flatnonzero(v >= -TIE_TOL).tolist()
+        joins = range(n_rows, n)
+    free_rows = [r for r in range(n) if match_row[r] == -1]
+    free_cols = [c for c in range(n) if match_col[c] == -1]
+    for r, c in zip(free_rows, free_cols):
+        match_row[r] = c
+        match_col[c] = r
+    pairs = _lex_refine(adj, n, n, match_row, match_col, n_rows, shared, joins)
+    return _finish([(r, c) for r, c in pairs if c < n_cols], n_rows, n_cols)
 
 
 def solve_max_matching(adjacency: BoolMatrix) -> Assignment:
     """Maximum-cardinality matching with the standard lexicographic tie-break."""
     n_rows, n_cols = adjacency.rows, adjacency.cols
-    adj = [np.flatnonzero(adjacency.values[r]).tolist() for r in range(n_rows)]
+    adj = _adjacency(adjacency.values)
     match_row, match_col = _kuhn(adj, n_rows, n_cols)
     pairs = _lex_refine(adj, n_rows, n_cols, match_row, match_col)
     return _finish(pairs, n_rows, n_cols)

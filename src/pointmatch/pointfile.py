@@ -118,6 +118,15 @@ def _parse_csv(text: str) -> list[PointRecord]:
     return records
 
 
+def _json_confidences(value) -> tuple[float, ...]:
+    # JSON numbers only: a string breaks the range check, a boolean passes it
+    if not isinstance(value, list) or not all(
+        isinstance(c, (int, float)) and not isinstance(c, bool) for c in value
+    ):
+        raise ValueError("confidences must be an array of numbers")
+    return tuple(value)
+
+
 def _parse_json(text: str) -> list[PointRecord]:
     try:
         data = json.loads(text)
@@ -134,7 +143,7 @@ def _parse_json(text: str) -> list[PointRecord]:
                 y=float(obj["y"]),
                 class_id=int(obj["class_id"]),
                 confidence=float(obj["confidence"]) if obj.get("confidence") is not None else None,
-                confidences=tuple(obj["confidences"]) if obj.get("confidences") else None,
+                confidences=_json_confidences(obj["confidences"]) if obj.get("confidences") else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PointFileError(f"record {i}: {exc}") from None

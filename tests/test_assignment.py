@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
     brute_force_max_matching,
     brute_force_min_cost,
@@ -41,6 +42,15 @@ class TestSolveMinCost:
         a = solve_min_cost(CostMatrix([[5], [1], [3]]))
         assert a.pairs == ((1, 0),)
         assert a.unmatched_rows == (0, 2)
+
+    def test_negative_dual_column_stays_matched(self):
+        # ((0, 0), (1, 1)) is tight on every real row but costs 2, not 1
+        a = solve_min_cost(CostMatrix([[1, 1, 0], [1, 1, 0]]))
+        assert a.pairs == ((0, 0), (1, 2))
+
+    def test_negative_dual_row_stays_matched(self):
+        a = solve_min_cost(CostMatrix([[1, 1], [1, 1], [0, 0]]))
+        assert a.pairs == ((0, 0), (2, 1))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -84,6 +94,17 @@ class TestSolveMaxMatching:
         assert a.pairs == ()
         assert a.unmatched_rows == (0, 1)
         assert a.unmatched_cols == (0, 1, 2)
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # rows i < n-1 reach {i, i+1} and row n-1 reaches {0} only, so the
+        # lexicographic repair walks a path through all n rows
+        n = 1500
+        vals = np.zeros((n, n), dtype=bool)
+        vals[np.arange(n - 1), np.arange(n - 1)] = True
+        vals[np.arange(n - 1), np.arange(1, n)] = True
+        vals[n - 1, 0] = True
+        a = solve_max_matching(BoolMatrix(vals))
+        assert a.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
 
 
 class TestBruteForceMaxMatching:
@@ -174,3 +195,56 @@ def test_min_cost_deterministic(values):
 def test_max_matching_deterministic(values):
     bm = BoolMatrix(values)
     assert solve_max_matching(bm) == solve_max_matching(bm)
+
+
+# up to 4 ground truths, each row repeated beta times, at most 8 rows
+replicated_costs = st.sampled_from([2, 3]).flatmap(
+    lambda beta: st.tuples(
+        st.just(beta),
+        st.integers(1, 8).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-3, 3).map(float), min_size=c, max_size=c),
+                min_size=1,
+                max_size=min(4, 8 // beta),
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(replicated_costs)
+def test_replicated_rows_match_oracle(beta_values):
+    # the one-to-many matcher repeats each ground-truth row beta times, so
+    # every optimum has beta-fold ties between identical rows
+    beta, base = beta_values
+    cm = CostMatrix(np.repeat(np.array(base), beta, axis=0))
+    assert solve_min_cost(cm).pairs == brute_force_min_cost(cm).pairs
+
+
+def _anchor_costs(n_gt, seed, tau=0.05):
+    # paper-size patch: 224 x 224, stride 8, 2 x 2 anchors -> 3,136 proposals
+    rng = np.random.default_rng(seed)
+    anchors = np.array(make_grid(GridSpec(28, 28, 8.0)).positions)
+    proposals = anchors + rng.normal(0.0, 2.0, anchors.shape)
+    gts = rng.uniform(0.0, 224.0, (n_gt, 2))
+    dist = np.linalg.norm(gts[:, None, :] - proposals[None, :, :], axis=2)
+    return tau * dist - rng.uniform(0.0, 1.0, (1, len(proposals)))
+
+
+@pytest.mark.parametrize(
+    "n_gt, beta, transpose",
+    [(30, 1, False), (30, 1, True), (60, 1, False)]
+    + [(n, b, False) for n in (30, 60) for b in (2, 4, 6)],
+)
+def test_min_cost_agrees_with_scipy_at_paper_size(n_gt, beta, transpose):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    values = np.repeat(_anchor_costs(n_gt, seed=n_gt * 10 + beta), beta, axis=0)
+    if transpose:
+        values = values.T
+    rows, cols = linear_sum_assignment(values)
+    cm = CostMatrix(values)
+    a = solve_min_cost(cm)
+    _structural_ok(a, cm.rows, cm.cols)
+    assert a.size == min(values.shape)
+    assert abs(a.total_cost(cm) - values[rows, cols].sum()) < 1e-9

@@ -191,3 +191,15 @@ class TestMatch:
         pred.write_text("image_id,x,y,class_id,confidence\nim,11,10,1,0.9\n")
         code, _, _ = run(capsys, "match", str(gt), str(pred))
         assert code == 3
+
+    @pytest.mark.parametrize("confidences", [["0.1", "0.9"], [False, True], "0.1"])
+    def test_non_numeric_json_confidences_exit_2(self, tmp_path, capsys, confidences):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("image_id,x,y,class_id\nim,10,10,1\n")
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(
+            [{"image_id": "im", "x": 11, "y": 10, "class_id": 1, "confidences": confidences}]
+        ))
+        code, out, err = run(capsys, "match", str(gt), str(pred))
+        assert code == 2
+        assert out == "" and "confidences must be an array of numbers" in err
