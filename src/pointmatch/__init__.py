@@ -3,6 +3,9 @@ solvers, training-time hybrid Hungarian matching with its losses, and the
 corrected threshold-then-match F1 evaluation protocol alongside the two
 flawed protocols it supersedes."""
 
+# the single version string: packaging metadata and run manifests read it
+__version__ = "0.1.0"
+
 from .anchors import AnchorSet, GridSpec, apply_offsets, make_grid, threshold_predictions
 from .assignment import (
     brute_force_max_matching,
@@ -36,8 +39,6 @@ from .matching import (
 )
 from .synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
 from .types import Assignment, BoolMatrix, CostMatrix, LabeledPoint, PredictedPoint
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Aggregate",

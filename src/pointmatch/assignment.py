@@ -37,19 +37,25 @@ def _finish(pairs, rows, cols) -> Assignment:
 def _shortest_augmenting_path(a: np.ndarray):
     """Rectangular shortest augmenting path for an (n, m) matrix, n <= m.
 
-    Jonker & Volgenant 1987 in the rectangular form of Crouse 2016: each row
-    in turn runs Dijkstra over reduced costs to the nearest free column, so
-    no dummy rows are built and the work is O(n^2 m). Returns (col4row, u, v)
-    where row i is assigned column col4row[i], and the duals satisfy
-    a[i, j] - u[i] - v[j] >= 0 (up to float error) with equality on assigned
-    pairs, v <= 0, and v[j] < 0 only for assigned columns.
+    Jonker & Volgenant 1987 in the rectangular form of Crouse 2016. A row
+    reduction starts the duals at u = row minima, v = 0, and gives each row,
+    in order, its first cheapest column along a tight edge if that column is
+    still free. Each row left over then runs Dijkstra over reduced costs to
+    the nearest free column, so no dummy rows are built and the work is
+    O(n^2 m). Returns (col4row, u, v) where row i is assigned column
+    col4row[i], and the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to
+    float error) with equality on assigned pairs, v <= 0, and v[j] < 0 only
+    for assigned columns.
     """
     n, m = a.shape
-    u = np.zeros(n)
+    u = a.min(axis=1)
     v = np.zeros(m)
     col4row = np.full(n, -1, dtype=np.int64)
     row4col = np.full(m, -1, dtype=np.int64)
-    for cur in range(n):
+    for i, j in enumerate(a.argmin(axis=1).tolist()):
+        if row4col[j] == -1:
+            row4col[j], col4row[i] = i, j
+    for cur in np.flatnonzero(col4row == -1).tolist():
         dist = np.full(m, np.inf)
         pred = np.zeros(m, dtype=np.int64)
         todo = np.ones(m, dtype=bool)

@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--aggregate", default="dataset-counts")
         p.add_argument("--format", dest="fmt", default="table", choices=["table", "json", "csv"])
         p.add_argument("--output", default=None, help="write report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="evaluate images in parallel")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
     add_common_eval(p_eval)
@@ -177,7 +176,7 @@ def cmd_evaluate(args) -> int:
     config = EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
-    report = evaluation.evaluate_dataset(gt_by_image, pred_by_image, config, jobs=args.jobs)
+    report = evaluation.evaluate_dataset(gt_by_image, pred_by_image, config)
     names = _class_names(args, class_ids)
     manifest = _manifest(args, {
         "radius": args.radius,

@@ -11,10 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assignment import solve_max_matching, solve_min_cost
-from .types import BoolMatrix, CostMatrix, LabeledPoint
+from .types import BoolMatrix, CostMatrix, LabeledPoint, distance_matrix
 
 
 class Protocol(str, enum.Enum):
@@ -80,14 +78,6 @@ def _split_by_class(points: list[LabeledPoint], class_id: int) -> list[LabeledPo
     return [p for p in points if p.class_id == class_id]
 
 
-def _distance_matrix(gts, preds) -> np.ndarray:
-    if not gts or not preds:
-        return np.zeros((len(gts), len(preds)))
-    gxy = np.array([[g.x, g.y] for g in gts])
-    pxy = np.array([[p.x, p.y] for p in preds])
-    return np.linalg.norm(gxy[:, None, :] - pxy[None, :, :], axis=2)
-
-
 def _present_classes(gts, preds, class_ids):
     if class_ids is not None:
         return tuple(class_ids)
@@ -106,7 +96,7 @@ def match_thresholded(
     for cls in _present_classes(gts, preds, class_ids):
         g = _split_by_class(gts, cls)
         p = _split_by_class(preds, cls)
-        dist = _distance_matrix(g, p)
+        dist = distance_matrix(g, p)
         matching = solve_max_matching(BoolMatrix(dist <= radius))
         tp = matching.size
         out[cls] = ClassCounts(class_id=cls, tp=tp, fp=len(p) - tp, fn=len(g) - tp)
@@ -126,7 +116,7 @@ def match_raw_hungarian(
     for cls in _present_classes(gts, preds, class_ids):
         g = _split_by_class(gts, cls)
         p = _split_by_class(preds, cls)
-        dist = _distance_matrix(g, p)
+        dist = distance_matrix(g, p)
         assignment = solve_min_cost(CostMatrix(dist))
         tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= radius)
         out[cls] = ClassCounts(class_id=cls, tp=tp, fp=len(p) - tp, fn=len(g) - tp)
@@ -145,7 +135,7 @@ def match_greedy(
     for cls in _present_classes(gts, preds, class_ids):
         g = _split_by_class(gts, cls)
         p = _split_by_class(preds, cls)
-        dist = _distance_matrix(g, p)
+        dist = distance_matrix(g, p)
         within = dist <= radius
         tp = int(within.any(axis=0).sum()) if len(g) and len(p) else 0
         fn = len(g) - (int(within.any(axis=1).sum()) if len(g) and len(p) else 0)
@@ -172,29 +162,19 @@ def evaluate_dataset(
     gt_by_image: dict[str, list[LabeledPoint]],
     pred_by_image: dict[str, list[LabeledPoint]],
     config: EvalConfig,
-    jobs: int = 1,
 ) -> EvalReport:
     """Run the configured protocol over every image and aggregate.
 
     Images missing from the prediction side count as empty predictions;
     prediction-only images contribute pure false positives. Under
     ``dataset_counts`` TP/FP/FN are summed before F1; under
-    ``per_image_mean`` per-image F1 scores are averaged. Per-image runs are
-    independent; ``jobs > 1`` evaluates them in a thread pool, and the
-    aggregation below is order-independent either way.
+    ``per_image_mean`` per-image F1 scores are averaged.
     """
     image_ids = sorted(set(gt_by_image) | set(pred_by_image))
-    tasks = [
-        (gt_by_image.get(image_id, []), pred_by_image.get(image_id, []))
+    per_image = [
+        evaluate_image(gt_by_image.get(image_id, []), pred_by_image.get(image_id, []), config)
         for image_id in image_ids
     ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(lambda t: evaluate_image(*t, config), tasks))
-    else:
-        per_image = [evaluate_image(gts, preds, config) for gts, preds in tasks]
 
     per_class = []
     for cls in config.class_ids:

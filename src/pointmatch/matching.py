@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CostMatrix, LabeledPoint, PredictedPoint
+from .types import CostMatrix, LabeledPoint, PredictedPoint, distance_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -78,19 +78,15 @@ def build_cost_matrix(
     n, m = len(gts), len(preds)
     values = np.zeros((n, m))
     if n and m:
-        gxy = np.array([[g.x, g.y] for g in gts])
-        pxy = np.array([[p.x, p.y] for p in preds])
-        dist = np.linalg.norm(gxy[:, None, :] - pxy[None, :, :], axis=2)
-        conf = np.empty((n, m))
-        for i, g in enumerate(gts):
-            for j, p in enumerate(preds):
-                if g.class_id > p.num_classes:
-                    raise ValueError(
-                        f"gt class {g.class_id} outside prediction confidence vector "
-                        f"({p.num_classes} classes)"
-                    )
-                conf[i, j] = p.confidences[g.class_id]
-        values = tau * dist - conf
+        cls = np.array([g.class_id for g in gts])
+        classes = min(p.num_classes for p in preds)
+        if cls.max() > classes:
+            raise ValueError(
+                f"gt class {cls.max()} outside prediction confidence vector "
+                f"({classes} classes)"
+            )
+        conf = np.array([p.confidences[: classes + 1] for p in preds])
+        values = tau * distance_matrix(gts, preds) - conf[:, cls].T
     return CostMatrix(values)
 
 

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__ as TOOL_VERSION
 from .types import LabeledPoint, PredictedPoint
-
-TOOL_VERSION = "0.1.0"
 
 
 class PointFileError(Exception):
@@ -118,13 +117,15 @@ def _parse_csv(text: str) -> list[PointRecord]:
     return records
 
 
-def _json_confidences(value) -> tuple[float, ...]:
-    # JSON numbers only: a string breaks the range check, a boolean passes it
-    if not isinstance(value, list) or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in value
-    ):
-        raise ValueError("confidences must be an array of numbers")
-    return tuple(value)
+def _is_number(value, kind=(int, float)) -> bool:
+    # JSON numbers only: a string would be coerced, and a boolean is an int
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, name: str, kind=(int, float)):
+    if not _is_number(value, kind):
+        raise ValueError(f"{name} must be a JSON {'integer' if kind is int else 'number'}")
+    return value
 
 
 def _parse_json(text: str) -> list[PointRecord]:
@@ -137,13 +138,18 @@ def _parse_json(text: str) -> list[PointRecord]:
     records = []
     for i, obj in enumerate(data):
         try:
+            if not isinstance(obj, dict):
+                raise ValueError("a record must be a JSON object")
+            conf, confs = obj.get("confidence"), obj.get("confidences")
+            if confs is not None and not (isinstance(confs, list) and all(map(_is_number, confs))):
+                raise ValueError("confidences must be an array of numbers")
             rec = PointRecord(
                 image_id=str(obj["image_id"]),
-                x=float(obj["x"]),
-                y=float(obj["y"]),
-                class_id=int(obj["class_id"]),
-                confidence=float(obj["confidence"]) if obj.get("confidence") is not None else None,
-                confidences=_json_confidences(obj["confidences"]) if obj.get("confidences") else None,
+                x=float(_number(obj["x"], "x")),
+                y=float(_number(obj["y"], "y")),
+                class_id=_number(obj["class_id"], "class_id", int),
+                confidence=None if conf is None else float(_number(conf, "confidence")),
+                confidences=None if confs is None else tuple(confs),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PointFileError(f"record {i}: {exc}") from None

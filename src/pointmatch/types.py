@@ -47,6 +47,15 @@ class PredictedPoint:
         return len(self.confidences) - 1
 
 
+def distance_matrix(gts, preds) -> np.ndarray:
+    """Euclidean distances between two point lists, shape N x M."""
+    if not gts or not preds:
+        return np.zeros((len(gts), len(preds)))
+    gxy = np.array([[g.x, g.y] for g in gts])
+    pxy = np.array([[p.x, p.y] for p in preds])
+    return np.linalg.norm(gxy[:, None, :] - pxy[None, :, :], axis=2)
+
+
 class CostMatrix:
     """Dense rectangular matrix of pairwise matching costs."""
 

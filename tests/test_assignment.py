@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
+    _shortest_augmenting_path,
     brute_force_max_matching,
     brute_force_min_cost,
     solve_max_matching,
@@ -247,4 +248,74 @@ def test_min_cost_agrees_with_scipy_at_paper_size(n_gt, beta, transpose):
     a = solve_min_cost(cm)
     _structural_ok(a, cm.rows, cm.cols)
     assert a.size == min(values.shape)
+    assert abs(a.total_cost(cm) - values[rows, cols].sum()) < 1e-9
+
+
+def test_row_reduction_assigns_every_free_minimum():
+    # each row's first cheapest column differs, so no row needs a search:
+    # the duals stay at the row minima and zero
+    a = np.array([[2.0, 0.5, 3.0, 1.0], [0.0, 4.0, 0.0, 2.0], [5.0, 6.0, 7.0, 4.5]])
+    col4row, u, v = _shortest_augmenting_path(a)
+    assert col4row.tolist() == [1, 0, 3]
+    assert u.tolist() == [0.5, 0.0, 4.5]
+    assert not v.any()
+    assert solve_min_cost(CostMatrix(a)).pairs == ((0, 1), (1, 0), (2, 3))
+
+
+def test_rows_colliding_on_one_minimum():
+    # column 0 is cheapest for every row: row 0 keeps it from the reduction
+    # and the other rows are left to the shortest-path search
+    a = np.array([[0.0, 5.0, 6.0, 3.0], [0.0, 7.0, 1.0, 4.0], [0.0, 2.0, 9.0, 8.0]])
+    col4row, u, v = _shortest_augmenting_path(a)
+    # the duals the refinement relies on: feasible, tight on the assignment,
+    # and negative only on assigned columns
+    reduced = a - u[:, None] - v[None, :]
+    assert reduced.min() >= -1e-9
+    assert np.abs(reduced[np.arange(3), col4row]).max() <= 1e-9
+    assert v.max() <= 0.0 and set(np.flatnonzero(v < 0)) <= set(col4row)
+    cm = CostMatrix(a)
+    assert solve_min_cost(cm).pairs == brute_force_min_cost(cm).pairs == ((0, 0), (1, 2), (2, 1))
+    assert solve_min_cost(CostMatrix(a.T)).pairs == ((0, 0), (1, 2), (2, 1))
+
+
+# rows mostly share one cheapest column; each row is repeated beta times
+shared_minimum_costs = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 8).flatmap(
+        lambda c: st.tuples(
+            st.integers(0, c - 1),
+            st.lists(
+                st.lists(st.integers(0, 3).map(float), min_size=c, max_size=c),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_minimum_costs)
+def test_shared_row_minimum_matches_oracle(case):
+    beta, (col, base) = case
+    base = np.array(base[: max(1, 8 // beta)])
+    base[:, col] = base.min(axis=1) - 1.0
+    values = np.repeat(base, beta, axis=0)
+    for cm in (CostMatrix(values), CostMatrix(values.T)):
+        assert solve_min_cost(cm).pairs == brute_force_min_cost(cm).pairs
+
+
+@pytest.mark.parametrize("shape", [(30, 33), (33, 30), (90, 95)])
+def test_min_cost_agrees_with_scipy_on_near_square_distances(shape):
+    # raw_hungarian solves the plain distance matrix of one class-image
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(sum(shape))
+    gts = rng.uniform(0.0, 256.0, (shape[0], 2))
+    preds = rng.uniform(0.0, 256.0, (shape[1], 2))
+    values = np.linalg.norm(gts[:, None, :] - preds[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(values)
+    cm = CostMatrix(values)
+    a = solve_min_cost(cm)
+    _structural_ok(a, cm.rows, cm.cols)
+    assert a.size == min(shape)
     assert abs(a.total_cost(cm) - values[rows, cols].sum()) < 1e-9

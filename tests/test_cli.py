@@ -192,7 +192,7 @@ class TestMatch:
         code, _, _ = run(capsys, "match", str(gt), str(pred))
         assert code == 3
 
-    @pytest.mark.parametrize("confidences", [["0.1", "0.9"], [False, True], "0.1"])
+    @pytest.mark.parametrize("confidences", [["0.1", "0.9"], [False, True], "0.1", False])
     def test_non_numeric_json_confidences_exit_2(self, tmp_path, capsys, confidences):
         gt = tmp_path / "gt.csv"
         gt.write_text("image_id,x,y,class_id\nim,10,10,1\n")
@@ -203,3 +203,26 @@ class TestMatch:
         code, out, err = run(capsys, "match", str(gt), str(pred))
         assert code == 2
         assert out == "" and "confidences must be an array of numbers" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("x", "11", "x must be a JSON number"),
+            ("y", True, "y must be a JSON number"),
+            ("confidence", "0.9", "confidence must be a JSON number"),
+            ("confidence", True, "confidence must be a JSON number"),
+            ("class_id", True, "class_id must be a JSON integer"),
+            ("class_id", "1", "class_id must be a JSON integer"),
+            ("class_id", 1.0, "class_id must be a JSON integer"),
+        ],
+    )
+    def test_non_numeric_json_scalars_exit_2(self, tmp_path, capsys, field, value, message):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("image_id,x,y,class_id\nim,10,10,1\n")
+        record = {"image_id": "im", "x": 11, "y": 10, "class_id": 1, "confidence": 0.9}
+        record[field] = value
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps([record]))
+        code, out, err = run(capsys, "match", str(gt), str(pred))
+        assert code == 2
+        assert out == "" and message in err

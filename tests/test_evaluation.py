@@ -212,15 +212,6 @@ class TestEvaluateDataset:
         assert by_counts.macro_f1 == pytest.approx(2 / 3)
         assert by_mean.macro_f1 == pytest.approx(0.5)
 
-    def test_jobs_parallel_matches_serial(self):
-        rng = random.Random(5)
-        gts = {f"im{i}": random_points(rng, 10) for i in range(6)}
-        preds = {f"im{i}": random_points(rng, 10) for i in range(6)}
-        config = EvalConfig(radius=6.0, class_ids=(1, 2))
-        assert evaluate_dataset(gts, preds, config) == evaluate_dataset(
-            gts, preds, config, jobs=4
-        )
-
 
 class TestCompareProtocols:
     def test_figure3_deltas(self):
