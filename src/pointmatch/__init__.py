@@ -38,7 +38,7 @@ from .matching import (
     regression_loss,
 )
 from .synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
-from .types import Assignment, BoolMatrix, CostMatrix, LabeledPoint, PredictedPoint
+from .types import Assignment, BoolMatrix, CostMatrix, LabeledPoint, PointSet, PredictedPoint
 
 __all__ = [
     "Aggregate",
@@ -55,6 +55,7 @@ __all__ = [
     "MatchConfig",
     "MatchOutcome",
     "PerturbationModel",
+    "PointSet",
     "PredictedPoint",
     "Protocol",
     "apply_offsets",

@@ -10,9 +10,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import evaluation, matching, pointfile, synth
 from .evaluation import Aggregate, EvalConfig, Protocol
 from .pointfile import PointFileError, PointRecord, RunManifest
+from .types import as_point_set
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -110,14 +113,12 @@ def _class_names(args, class_ids) -> dict[int, str]:
 
 
 def _load_eval_inputs(args):
-    gt_records = pointfile.read_point_file(args.gt)
-    pred_records = pointfile.read_point_file(args.pred)
-    gt_by_image = pointfile.group_labeled(gt_records)
-    pred_by_image = pointfile.group_labeled(pred_records)
+    gt_table = pointfile.read_point_file(args.gt)
+    pred_table = pointfile.read_point_file(args.pred)
+    gt_by_image = pointfile.group_labeled(gt_table)
+    pred_by_image = pointfile.group_labeled(pred_table)
     class_ids = _parse_class_ids(args)
-    observed = {p.class_id for pts in gt_by_image.values() for p in pts} | {
-        p.class_id for pts in pred_by_image.values() for p in pts
-    }
+    observed = set(np.union1d(gt_table.cls, pred_table.cls).tolist())
     if class_ids is None:
         class_ids = tuple(sorted(observed)) or (1,)
     else:
@@ -292,16 +293,14 @@ def cmd_match(args) -> int:
         raise ConfigError("beta must be >= 1")
     if args.tau <= 0:
         raise ConfigError("tau must be positive")
-    gt_records = pointfile.read_point_file(args.gt)
-    pred_records = pointfile.read_point_file(args.pred)
-    gt_by_image = pointfile.group_labeled(gt_records)
+    gt_table = pointfile.read_point_file(args.gt)
+    pred_table = pointfile.read_point_file(args.pred)
+    gt_by_image = pointfile.group_labeled(gt_table)
 
-    num_classes = max(
-        [r.class_id for r in gt_records + pred_records]
-        + [len(r.confidences) - 1 for r in pred_records if r.confidences is not None]
-        + [1]
-    )
-    pred_by_image = pointfile.group_predicted(pred_records, num_classes)
+    num_classes = int(np.concatenate([gt_table.cls, pred_table.cls, [1]]).max())
+    if pred_table.confidences is not None:
+        num_classes = max(num_classes, pred_table.confidences.shape[1] - 1)
+    pred_by_image = pointfile.group_predicted(pred_table, num_classes)
 
     class_weights = (args.lambda_bg,) + (args.lambda_fg,) * num_classes
     config = matching.MatchConfig(
@@ -322,7 +321,7 @@ def cmd_match(args) -> int:
 
     images = []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
-        gts = gt_by_image.get(image_id, [])
+        gts = gt_by_image.get(image_id) or as_point_set(())
         preds = pred_by_image.get(image_id, [])
         if len(gts) > len(preds):
             raise ConfigError(
@@ -332,15 +331,16 @@ def cmd_match(args) -> int:
         costs = matching.build_cost_matrix(gts, preds, config.tau)
         one2one, one2many = matching.match_hybrid(gts, preds, config)
         losses = matching.combined_loss(gts, preds, config)
+        gxy = gts.xy.tolist()
 
         def dump(outcome):
             pairs = []
             for gi, pi in outcome.matched:
-                g, p = gts[gi], preds[pi]
+                (gx, gy), p = gxy[gi], preds[pi]
                 pairs.append({
                     "gt_index": gi,
                     "pred_index": pi,
-                    "distance": math.hypot(g.x - p.x, g.y - p.y),
+                    "distance": math.hypot(gx - p.x, gy - p.y),
                     "cost": costs.values[gi, pi],
                 })
             return {"pairs": pairs, "negatives": list(outcome.negatives)}

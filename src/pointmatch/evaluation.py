@@ -3,16 +3,22 @@ and the two flawed protocols it supersedes (raw-distance Hungarian and
 greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
-match a ground truth of the same class.
+match a ground truth of the same class. Images are ``PointSet`` columns; each
+image is split by class once, and each (image, class) distance matrix is
+built once and shared by every protocol scored, all three under
+``compare_protocols``.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .assignment import solve_max_matching, solve_min_cost
-from .types import BoolMatrix, CostMatrix, LabeledPoint, distance_matrix
+from .types import BoolMatrix, CostMatrix, Points, PointSet, as_point_set, distance_matrix
 
 
 class Protocol(str, enum.Enum):
@@ -74,93 +80,124 @@ def f1_from_counts(counts: ClassCounts) -> float:
     return counts.tp / denom
 
 
-def _split_by_class(points: list[LabeledPoint], class_id: int) -> list[LabeledPoint]:
-    return [p for p in points if p.class_id == class_id]
+def _class_counts(
+    protocol: Protocol, class_id: int, dist: np.ndarray, radius: float
+) -> ClassCounts:
+    """TP/FP/FN of one (image, class) under one protocol, from its N x M
+    ground-truth-to-prediction distance matrix."""
+    n, m = dist.shape
+    if protocol is Protocol.MATCHED:
+        tp = solve_max_matching(BoolMatrix(dist <= radius)).size
+        fn = n - tp
+    elif protocol is Protocol.RAW_HUNGARIAN:
+        assignment = solve_min_cost(CostMatrix(dist))
+        tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= radius)
+        fn = n - tp
+    else:
+        within = dist <= radius
+        tp = int(within.any(axis=0).sum())
+        fn = n - int(within.any(axis=1).sum())
+    return ClassCounts(class_id=class_id, tp=tp, fp=m - tp, fn=fn)
 
 
-def _present_classes(gts, preds, class_ids):
-    if class_ids is not None:
-        return tuple(class_ids)
-    return tuple(sorted({p.class_id for p in gts} | {p.class_id for p in preds}))
+def evaluate_image(
+    gts: PointSet,
+    preds: PointSet,
+    radius: float,
+    class_ids: Sequence[int],
+    protocols: Sequence[Protocol],
+) -> dict[tuple[Protocol, int], ClassCounts]:
+    """Counts of one image per (protocol, class). Each class's distance
+    matrix is built once and scored under every protocol."""
+    out = {}
+    for cls in class_ids:
+        dist = distance_matrix(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls])
+        for protocol in protocols:
+            out[protocol, cls] = _class_counts(protocol, cls, dist, radius)
+    return out
+
+
+def _protocol_counts(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
+    gts, preds = as_point_set(gts), as_point_set(preds)
+    if class_ids is None:
+        class_ids = np.union1d(gts.cls, preds.cls).tolist()
+    counts = evaluate_image(gts, preds, radius, class_ids, (protocol,))
+    return {cls: counts[protocol, cls] for cls in class_ids}
 
 
 def match_thresholded(
-    gts: list[LabeledPoint],
-    preds: list[LabeledPoint],
+    gts: Points,
+    preds: Points,
     radius: float,
     class_ids: tuple[int, ...] | None = None,
 ) -> dict[int, ClassCounts]:
     """Corrected protocol: threshold distances at the radius (inclusive),
     then maximum bipartite matching per class; TP = matching size."""
-    out = {}
-    for cls in _present_classes(gts, preds, class_ids):
-        g = _split_by_class(gts, cls)
-        p = _split_by_class(preds, cls)
-        dist = distance_matrix(g, p)
-        matching = solve_max_matching(BoolMatrix(dist <= radius))
-        tp = matching.size
-        out[cls] = ClassCounts(class_id=cls, tp=tp, fp=len(p) - tp, fn=len(g) - tp)
-    return out
+    return _protocol_counts(Protocol.MATCHED, gts, preds, radius, class_ids)
 
 
 def match_raw_hungarian(
-    gts: list[LabeledPoint],
-    preds: list[LabeledPoint],
+    gts: Points,
+    preds: Points,
     radius: float,
     class_ids: tuple[int, ...] | None = None,
 ) -> dict[int, ClassCounts]:
     """Flawed protocol: min-cost assignment on the raw distance matrix,
     radius filtering only afterwards. Reproduced deliberately; its global
     objective can discard locally correct detections."""
-    out = {}
-    for cls in _present_classes(gts, preds, class_ids):
-        g = _split_by_class(gts, cls)
-        p = _split_by_class(preds, cls)
-        dist = distance_matrix(g, p)
-        assignment = solve_min_cost(CostMatrix(dist))
-        tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= radius)
-        out[cls] = ClassCounts(class_id=cls, tp=tp, fp=len(p) - tp, fn=len(g) - tp)
-    return out
+    return _protocol_counts(Protocol.RAW_HUNGARIAN, gts, preds, radius, class_ids)
 
 
 def match_greedy(
-    gts: list[LabeledPoint],
-    preds: list[LabeledPoint],
+    gts: Points,
+    preds: Points,
     radius: float,
     class_ids: tuple[int, ...] | None = None,
 ) -> dict[int, ClassCounts]:
     """Flawed protocol: every prediction within the radius of any same-class
     ground truth counts as a true positive (one-to-many), inflating TP."""
-    out = {}
-    for cls in _present_classes(gts, preds, class_ids):
-        g = _split_by_class(gts, cls)
-        p = _split_by_class(preds, cls)
-        dist = distance_matrix(g, p)
-        within = dist <= radius
-        tp = int(within.any(axis=0).sum()) if len(g) and len(p) else 0
-        fn = len(g) - (int(within.any(axis=1).sum()) if len(g) and len(p) else 0)
-        out[cls] = ClassCounts(class_id=cls, tp=tp, fp=len(p) - tp, fn=fn)
-    return out
+    return _protocol_counts(Protocol.GREEDY, gts, preds, radius, class_ids)
 
 
-_PROTOCOL_FN = {
-    Protocol.MATCHED: match_thresholded,
-    Protocol.RAW_HUNGARIAN: match_raw_hungarian,
-    Protocol.GREEDY: match_greedy,
-}
+def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> list[dict]:
+    """Per-image counts over the union of image ids, in sorted order."""
+    empty = as_point_set(())
+    return [
+        evaluate_image(
+            as_point_set(gt_by_image.get(image_id, empty)),
+            as_point_set(pred_by_image.get(image_id, empty)),
+            radius,
+            class_ids,
+            protocols,
+        )
+        for image_id in sorted(set(gt_by_image) | set(pred_by_image))
+    ]
 
 
-def evaluate_image(
-    gts: list[LabeledPoint],
-    preds: list[LabeledPoint],
-    config: EvalConfig,
-) -> dict[int, ClassCounts]:
-    return _PROTOCOL_FN[config.protocol](gts, preds, config.radius, config.class_ids)
+def _report(protocol: Protocol, per_image: list[dict], config: EvalConfig) -> EvalReport:
+    per_class = []
+    for cls in config.class_ids:
+        image_counts = [image[protocol, cls] for image in per_image]
+        counts = sum(image_counts, ClassCounts(class_id=cls))
+        if config.aggregate is Aggregate.DATASET_COUNTS:
+            f1 = f1_from_counts(counts)
+        else:
+            f1s = [f1_from_counts(c) for c in image_counts]
+            f1 = sum(f1s) / len(f1s) if f1s else 0.0
+        per_class.append((counts, f1))
+
+    macro = sum(f1 for _, f1 in per_class) / len(per_class)
+    return EvalReport(
+        per_class=tuple(per_class),
+        macro_f1=macro,
+        protocol=protocol,
+        images=len(per_image),
+    )
 
 
 def evaluate_dataset(
-    gt_by_image: dict[str, list[LabeledPoint]],
-    pred_by_image: dict[str, list[LabeledPoint]],
+    gt_by_image: dict[str, Points],
+    pred_by_image: dict[str, Points],
     config: EvalConfig,
 ) -> EvalReport:
     """Run the configured protocol over every image and aggregate.
@@ -170,31 +207,10 @@ def evaluate_dataset(
     ``dataset_counts`` TP/FP/FN are summed before F1; under
     ``per_image_mean`` per-image F1 scores are averaged.
     """
-    image_ids = sorted(set(gt_by_image) | set(pred_by_image))
-    per_image = [
-        evaluate_image(gt_by_image.get(image_id, []), pred_by_image.get(image_id, []), config)
-        for image_id in image_ids
-    ]
-
-    per_class = []
-    for cls in config.class_ids:
-        counts = ClassCounts(class_id=cls)
-        for img_counts in per_image:
-            counts = counts + img_counts[cls]
-        if config.aggregate is Aggregate.DATASET_COUNTS:
-            f1 = f1_from_counts(counts)
-        else:
-            f1s = [f1_from_counts(img_counts[cls]) for img_counts in per_image]
-            f1 = sum(f1s) / len(f1s) if f1s else 0.0
-        per_class.append((counts, f1))
-
-    macro = sum(f1 for _, f1 in per_class) / len(per_class)
-    return EvalReport(
-        per_class=tuple(per_class),
-        macro_f1=macro,
-        protocol=config.protocol,
-        images=len(image_ids),
+    per_image = _evaluate(
+        gt_by_image, pred_by_image, config.radius, config.class_ids, (config.protocol,)
     )
+    return _report(config.protocol, per_image, config)
 
 
 @dataclass(frozen=True)
@@ -213,20 +229,17 @@ def _delta_pct(value: float, reference: float) -> float:
 
 
 def compare_protocols(
-    gt_by_image: dict[str, list[LabeledPoint]],
-    pred_by_image: dict[str, list[LabeledPoint]],
+    gt_by_image: dict[str, Points],
+    pred_by_image: dict[str, Points],
     radius: float,
     class_ids: tuple[int, ...],
     aggregate: Aggregate = Aggregate.DATASET_COUNTS,
 ) -> tuple[ProtocolComparison, ...]:
     """Evaluate all three protocols on identical inputs, reporting relative
     F1 deltas against the corrected (matched) protocol."""
-    reports = {}
-    for protocol in Protocol:
-        config = EvalConfig(
-            radius=radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
-        )
-        reports[protocol] = evaluate_dataset(gt_by_image, pred_by_image, config)
+    config = EvalConfig(radius=radius, class_ids=class_ids, aggregate=aggregate)
+    per_image = _evaluate(gt_by_image, pred_by_image, radius, class_ids, tuple(Protocol))
+    reports = {protocol: _report(protocol, per_image, config) for protocol in Protocol}
 
     reference = reports[Protocol.MATCHED]
     ref_by_class = {c.class_id: f1 for c, f1 in reference.per_class}

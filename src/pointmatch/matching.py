@@ -1,6 +1,7 @@
 """Training-time matcher: distance/confidence cost matrix, one-to-one and
 hybrid one-to-many Hungarian matching, and the associated classification,
-regression and combined losses."""
+regression and combined losses. Ground truths are a ``PointSet`` or a list
+of ``LabeledPoint``s; proposals are a list of ``PredictedPoint``s."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CostMatrix, LabeledPoint, PredictedPoint, distance_matrix
+from .types import CostMatrix, Points, PredictedPoint, as_point_set, distance_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -69,16 +70,17 @@ class LossBreakdown:
 
 
 def build_cost_matrix(
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
     tau: float = DEFAULT_TAU,
 ) -> CostMatrix:
     """Pairwise cost: tau * euclidean distance minus the proposal's
     confidence for the ground-truth class. Shape N x M."""
+    gts = as_point_set(gts)
     n, m = len(gts), len(preds)
     values = np.zeros((n, m))
     if n and m:
-        cls = np.array([g.class_id for g in gts])
+        cls = gts.cls
         classes = min(p.num_classes for p in preds)
         if cls.max() > classes:
             raise ValueError(
@@ -86,7 +88,8 @@ def build_cost_matrix(
                 f"({classes} classes)"
             )
         conf = np.array([p.confidences[: classes + 1] for p in preds])
-        values = tau * distance_matrix(gts, preds) - conf[:, cls].T
+        pxy = np.array([(p.x, p.y) for p in preds])
+        values = tau * distance_matrix(gts.xy, pxy) - conf[:, cls].T
     return CostMatrix(values)
 
 
@@ -97,7 +100,7 @@ def _outcome_from_pairs(pairs, num_preds) -> MatchOutcome:
 
 
 def match_one_to_one(
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
     config: MatchConfig = MatchConfig(),
 ) -> MatchOutcome:
@@ -111,7 +114,7 @@ def match_one_to_one(
 
 
 def match_hybrid(
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
     config: MatchConfig = MatchConfig(),
 ) -> tuple[MatchOutcome, MatchOutcome]:
@@ -122,6 +125,7 @@ def match_hybrid(
     If N * beta exceeds M, all proposals are consumed and a warning is
     emitted.
     """
+    gts = as_point_set(gts)
     n, m = len(gts), len(preds)
     one2one = match_one_to_one(gts, preds, config)
     if config.beta == 1:
@@ -141,7 +145,7 @@ def match_hybrid(
 
 def classification_loss(
     outcome: MatchOutcome,
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
     class_weights: tuple[float, ...],
 ) -> float:
@@ -154,9 +158,10 @@ def classification_loss(
     m = len(preds)
     if m == 0:
         return 0.0
+    classes = as_point_set(gts).cls.tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
-        cls = gts[gt_idx].class_id
+        cls = classes[gt_idx]
         c = max(preds[pred_idx].confidences[cls], LOG_CLAMP)
         total -= class_weights[cls] * math.log(c)
     for pred_idx in outcome.negatives:
@@ -167,21 +172,22 @@ def classification_loss(
 
 def regression_loss(
     outcome: MatchOutcome,
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
 ) -> float:
     """Mean squared euclidean distance over matched pairs (0 if none)."""
     if not outcome.matched:
         return 0.0
+    gxy = as_point_set(gts).xy.tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
-        g, p = gts[gt_idx], preds[pred_idx]
-        total += (g.x - p.x) ** 2 + (g.y - p.y) ** 2
+        (gx, gy), p = gxy[gt_idx], preds[pred_idx]
+        total += (gx - p.x) ** 2 + (gy - p.y) ** 2
     return total / len(outcome.matched)
 
 
 def combined_loss(
-    gts: list[LabeledPoint],
+    gts: Points,
     preds: list[PredictedPoint],
     config: MatchConfig = MatchConfig(),
 ) -> LossBreakdown:
@@ -189,6 +195,7 @@ def combined_loss(
     combined = (cls_1v1 + reg_weight * reg_1v1)
              + one2many_weight * (cls_1vN + reg_weight * reg_1vN).
     """
+    gts = as_point_set(gts)
     one2one, one2many = match_hybrid(gts, preds, config)
     cls_1v1 = classification_loss(one2one, gts, preds, config.class_weights)
     reg_1v1 = regression_loss(one2one, gts, preds)

@@ -1,25 +1,34 @@
 """Point-file I/O: CSV and JSON readers/writers for ground-truth and
 prediction point sets, plus the run manifest attached to every report.
 
-CSV schema (UTF-8, comma-delimited, LF):
+CSV schema (UTF-8, optionally with a byte-order mark, comma-delimited, LF):
     image_id,x,y,class_id
     image_id,x,y,class_id,confidence
     image_id,x,y,class_id,conf_bg,conf_1,...,conf_T
-The JSON variant is an array of objects with the same field names.
+An empty ``confidence`` cell is a record without a confidence. The JSON
+variant is an array of objects with the same field names (``confidences``
+holds the vector); ``image_id`` must be a JSON string.
+
+A file is read into one ``PointTable`` of numpy columns, validated as a
+whole; the first faulty line is located only once a check fails.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__ as TOOL_VERSION
-from .types import LabeledPoint, PredictedPoint
+from .types import PointSet, PredictedPoint
+
+_BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
 
 
 class PointFileError(Exception):
@@ -34,6 +43,42 @@ class PointRecord:
     class_id: int
     confidence: float | None = None
     confidences: tuple[float, ...] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class PointTable(Sequence):
+    """The records of one point file as numpy columns, in file order.
+
+    ``confidence`` (n,) is NaN where a record has no confidence, and the
+    rows of ``confidences`` (n, T+1) are NaN where a record has no vector;
+    a column is None when no record has one. As a sequence the table yields
+    ``PointRecord``s, so it compares equal to the records it was written
+    from.
+    """
+
+    image_id: Sequence[str]
+    xy: np.ndarray
+    cls: np.ndarray
+    confidence: np.ndarray | None = None
+    confidences: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.cls)
+
+    def __getitem__(self, i: int) -> PointRecord:
+        x, y = self.xy[i].tolist()
+        conf = None if self.confidence is None else float(self.confidence[i])
+        vector = None if self.confidences is None else self.confidences[i]
+        return PointRecord(
+            self.image_id[i], x, y, int(self.cls[i]),
+            None if conf is None or math.isnan(conf) else conf,
+            None if vector is None or np.isnan(vector).all() else tuple(vector.tolist()),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -59,62 +104,112 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _check_record(rec: PointRecord, lineno) -> PointRecord:
-    where = f"line {lineno}" if lineno is not None else f"record {rec!r}"
-    if rec.class_id < 1:
-        raise PointFileError(f"{where}: class_id must be >= 1")
-    if not (math.isfinite(rec.x) and math.isfinite(rec.y)):
-        raise PointFileError(f"{where}: coordinates must be finite")
-    if rec.confidence is not None and not 0.0 <= rec.confidence <= 1.0:
-        raise PointFileError(f"{where}: confidence must be in [0, 1]")
-    if rec.confidences is not None:
-        if any(not 0.0 <= c <= 1.0 for c in rec.confidences):
-            raise PointFileError(f"{where}: confidences must be in [0, 1]")
-        if rec.class_id > len(rec.confidences) - 1:
-            raise PointFileError(f"{where}: class_id outside confidence vector")
-    return rec
+class _BadRow(Exception):
+    """A fault in row ``index`` of the rows a table is built from."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
-def _parse_csv(text: str) -> list[PointRecord]:
-    reader = csv.reader(io.StringIO(text))
+def _checked(rows: list, build, where) -> PointTable:
+    """``build(rows)``, or PointFileError naming the first faulty row.
+
+    A build stops at the first fault of its first failing stage, but an
+    earlier row may hold a fault that a later stage checks; so the rows
+    before the fault are built first, to raise for that row instead.
+    """
+    try:
+        return build(rows)
+    except _BadRow as bad:
+        _checked(rows[: bad.index], build, where)
+        raise PointFileError(f"{where(bad.index)}: {bad}") from None
+
+
+def _column(cells, dtype) -> np.ndarray:
+    """``cells`` (values or rows of values) as one array of ``dtype``."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for i, cell in enumerate(cells):
+            try:
+                np.array([cell], dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise _BadRow(i, str(exc)) from None
+        raise
+
+
+def _table(image_id, xy, cls, confidence=None, confidences=None,
+           no_confidence=None, no_vector=None) -> PointTable:
+    """Validate the columns, then mark with NaN the records that have no
+    confidence or no vector, whose cells hold zero placeholders until then."""
+    checks = [
+        (cls < 1, "class_id must be >= 1"),
+        (~np.isfinite(xy).all(axis=1), "coordinates must be finite"),
+    ]
+    if confidence is not None:
+        checks.append((~((confidence >= 0.0) & (confidence <= 1.0)),
+                       "confidence must be in [0, 1]"))
+    if confidences is not None:
+        outside = cls > confidences.shape[1] - 1
+        checks += [
+            (~((confidences >= 0.0) & (confidences <= 1.0)).all(axis=1),
+             "confidences must be in [0, 1]"),
+            (outside if no_vector is None else outside & ~no_vector,
+             "class_id outside confidence vector"),
+        ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _BadRow(i, next(message for mask, message in checks if mask[i]))
+    if no_confidence is not None:
+        confidence[no_confidence] = np.nan
+    if no_vector is not None:
+        confidences[no_vector] = np.nan
+    return PointTable(image_id, xy, cls, confidence, confidences)
+
+
+def _parse_csv(lines) -> PointTable:
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise PointFileError("line 1: missing header") from None
     header = [h.strip() for h in header]
-    if header[:4] != ["image_id", "x", "y", "class_id"]:
-        raise PointFileError(
-            "line 1: header must start with image_id,x,y,class_id"
-        )
+    if header[:4] != _BASE_COLUMNS:
+        raise PointFileError("line 1: header must start with image_id,x,y,class_id")
     extra = header[4:]
-    if extra and extra != ["confidence"] and (not extra[0] == "conf_bg"):
-        raise PointFileError("line 1: unrecognized extra columns")
-    n_conf = len(extra) if extra and extra[0] == "conf_bg" else 0
-
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise PointFileError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            image_id = row[0]
-            x, y = float(row[1]), float(row[2])
-            class_id = int(row[3])
-            confidence = None
-            confidences = None
-            if extra == ["confidence"]:
-                confidence = float(row[4])
-            elif n_conf:
-                confidences = tuple(float(v) for v in row[4:])
-        except ValueError as exc:
-            raise PointFileError(f"line {lineno}: {exc}") from None
-        records.append(
-            _check_record(
-                PointRecord(image_id, x, y, class_id, confidence, confidences), lineno
-            )
+    vector = ["conf_bg"] + [f"conf_{t}" for t in range(1, len(extra))]
+    if extra and extra != ["confidence"] and (extra != vector or len(extra) < 2):
+        raise PointFileError(
+            "line 1: extra columns must be confidence or conf_bg,conf_1,...,conf_T"
         )
-    return records
+    width = len(header)
+
+    def build(rows) -> PointTable:
+        if set(map(len, rows)) - {width}:
+            short = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise _BadRow(short, f"expected {width} fields, got {len(rows[short])}")
+        columns = list(zip(*rows)) or [()] * width
+        xy = np.stack([_column(columns[1], float), _column(columns[2], float)], axis=1)
+        cls = _column(columns[3], np.int64)
+        if extra == ["confidence"]:
+            cells = columns[4]
+            # an empty cell is a record without a confidence
+            empty = np.array([c == "" for c in cells]) if "" in cells else None
+            confidence = _column(cells if empty is None else [c or "0" for c in cells], float)
+            return _table(columns[0], xy, cls, confidence, no_confidence=empty)
+        if extra:
+            vectors = np.stack([_column(c, float) for c in columns[4:]], axis=1)
+            return _table(columns[0], xy, cls, confidences=vectors)
+        return _table(columns[0], xy, cls)
+
+    rows = list(reader)
+
+    def where(i: int) -> str:
+        return f"line {[n for n, row in enumerate(rows, start=2) if row][i]}"
+
+    return _checked(list(filter(None, rows)), build, where)
 
 
 def _is_number(value, kind=(int, float)) -> bool:
@@ -128,41 +223,58 @@ def _number(value, name: str, kind=(int, float)):
     return value
 
 
-def _parse_json(text: str) -> list[PointRecord]:
+def _json_table(data: list) -> PointTable:
+    image_id, x, y, cls, conf, vectors = [], [], [], [], [], []
+    width = None
+    for i, obj in enumerate(data):
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError("a record must be a JSON object")
+            vector = obj.get("confidences")
+            if vector is not None:
+                if not (isinstance(vector, list) and all(map(_is_number, vector))):
+                    raise ValueError("confidences must be an array of numbers")
+                width = len(vector) if width is None else width
+                if len(vector) != width:
+                    raise ValueError("confidences must all have the same length")
+            if not isinstance(obj["image_id"], str):
+                raise ValueError("image_id must be a JSON string")
+            image_id.append(obj["image_id"])
+            x.append(_number(obj["x"], "x"))
+            y.append(_number(obj["y"], "y"))
+            cls.append(_number(obj["class_id"], "class_id", int))
+            c = obj.get("confidence")
+            conf.append(None if c is None else _number(c, "confidence"))
+            vectors.append(vector)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _BadRow(i, str(exc)) from None
+    xy = np.stack([_column(x, float), _column(y, float)], axis=1)
+    confidence = no_confidence = confidences = no_vector = None
+    if any(c is not None for c in conf):
+        no_confidence = np.array([c is None for c in conf])
+        confidence = _column([0.0 if c is None else c for c in conf], float)
+    if width is not None:
+        no_vector = np.array([v is None for v in vectors])
+        confidences = _column([[0.0] * width if v is None else v for v in vectors], float)
+    return _table(image_id, xy, _column(cls, np.int64), confidence, confidences,
+                  no_confidence, no_vector)
+
+
+def _parse_json(text: str) -> PointTable:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PointFileError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise PointFileError("JSON point file must be an array of records")
-    records = []
-    for i, obj in enumerate(data):
-        try:
-            if not isinstance(obj, dict):
-                raise ValueError("a record must be a JSON object")
-            conf, confs = obj.get("confidence"), obj.get("confidences")
-            if confs is not None and not (isinstance(confs, list) and all(map(_is_number, confs))):
-                raise ValueError("confidences must be an array of numbers")
-            rec = PointRecord(
-                image_id=str(obj["image_id"]),
-                x=float(_number(obj["x"], "x")),
-                y=float(_number(obj["y"], "y")),
-                class_id=_number(obj["class_id"], "class_id", int),
-                confidence=None if conf is None else float(_number(conf, "confidence")),
-                confidences=None if confs is None else tuple(confs),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PointFileError(f"record {i}: {exc}") from None
-        records.append(_check_record(rec, None))
-    return records
+    return _checked(data, _json_table, lambda i: f"record {i}")
 
 
-def read_point_file(path: str) -> list[PointRecord]:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    if path.endswith(".json"):
-        return _parse_json(text)
-    return _parse_csv(text)
+def read_point_file(path: str) -> PointTable:
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        if path.endswith(".json"):
+            return _parse_json(f.read())
+        return _parse_csv(f)
 
 
 def write_point_file(path: str, records: list[PointRecord]) -> None:
@@ -185,7 +297,7 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
     for r in records:
         if r.confidences is not None:
             n_conf = max(n_conf, len(r.confidences))
-    header = ["image_id", "x", "y", "class_id"]
+    header = list(_BASE_COLUMNS)
     if n_conf:
         header += ["conf_bg"] + [f"conf_{t}" for t in range(1, n_conf)]
     elif has_single:
@@ -202,37 +314,52 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
             writer.writerow(row)
 
 
-def group_labeled(records: list[PointRecord]) -> dict[str, list[LabeledPoint]]:
-    """Group records by image into LabeledPoint lists (confidences ignored)."""
-    out: dict[str, list[LabeledPoint]] = {}
-    for r in records:
-        out.setdefault(r.image_id, []).append(LabeledPoint(x=r.x, y=r.y, class_id=r.class_id))
-    return out
+def _image_rows(table: PointTable):
+    """(image_id, row indices in file order) per image, in order of first
+    appearance, from one stable sort of the image codes."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(i, len(index)) for i in table.image_id), dtype=np.intp, count=len(table)
+    )
+    order = np.argsort(codes, kind="stable")
+    return zip(index, np.split(order, np.cumsum(np.bincount(codes))[:-1]))
 
 
-def group_predicted(
-    records: list[PointRecord], num_classes: int
-) -> dict[str, list[PredictedPoint]]:
-    """Group records by image into PredictedPoint lists.
+def group_labeled(table: PointTable) -> dict[str, PointSet]:
+    """Group a table by image into PointSets (confidences ignored)."""
+    return {
+        image_id: PointSet(table.xy[rows], table.cls[rows])
+        for image_id, rows in _image_rows(table)
+    }
+
+
+def group_predicted(table: PointTable, num_classes: int) -> dict[str, list[PredictedPoint]]:
+    """Group a table by image into PredictedPoint lists.
 
     Records with full confidence vectors are taken as-is; records with a
     single confidence c are treated as one-class predictions (bg = 1 - c);
     records with no confidence get full confidence for their class.
     """
-    out: dict[str, list[PredictedPoint]] = {}
-    for r in records:
-        if r.confidences is not None:
-            conf = r.confidences
-            if len(conf) != num_classes + 1:
-                raise PointFileError(
-                    f"record for image {r.image_id}: expected {num_classes + 1} "
-                    f"confidences, got {len(conf)}"
-                )
-        else:
-            c = r.confidence if r.confidence is not None else 1.0
-            conf = [0.0] * (num_classes + 1)
-            conf[r.class_id] = c
-            conf[0] = 1.0 - c
-            conf = tuple(conf)
-        out.setdefault(r.image_id, []).append(PredictedPoint(x=r.x, y=r.y, confidences=conf))
-    return out
+    n = len(table)
+    conf = np.zeros((n, num_classes + 1))
+    vector = np.zeros(n, dtype=bool)
+    if table.confidences is not None:
+        vector = ~np.isnan(table.confidences).all(axis=1)
+        if table.confidences.shape[1] != num_classes + 1 and vector.any():
+            raise PointFileError(
+                f"record for image {table.image_id[int(np.argmax(vector))]}: expected "
+                f"{num_classes + 1} confidences, got {table.confidences.shape[1]}"
+            )
+        conf[vector] = table.confidences[vector]
+    single = np.ones(n) if table.confidence is None else table.confidence
+    plain = np.flatnonzero(~vector)
+    level = np.where(np.isnan(single[plain]), 1.0, single[plain])
+    conf[plain, table.cls[plain]] = level
+    conf[plain, 0] = 1.0 - level
+    return {
+        image_id: [
+            PredictedPoint(x=x, y=y, confidences=tuple(c))
+            for (x, y), c in zip(table.xy[rows].tolist(), conf[rows].tolist())
+        ]
+        for image_id, rows in _image_rows(table)
+    }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +48,39 @@ class PredictedPoint:
         return len(self.confidences) - 1
 
 
-def distance_matrix(gts, preds) -> np.ndarray:
-    """Euclidean distances between two point lists, shape N x M."""
-    if not gts or not preds:
-        return np.zeros((len(gts), len(preds)))
-    gxy = np.array([[g.x, g.y] for g in gts])
-    pxy = np.array([[p.x, p.y] for p in preds])
-    return np.linalg.norm(gxy[:, None, :] - pxy[None, :, :], axis=2)
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """The labeled points of one image as columns: coordinates ``xy``
+    (n, 2) and class ids ``cls`` (n,), in file order.
+
+    Whoever builds one has validated it: ``pointfile`` checks whole files
+    at load, and ``LabeledPoint`` checks each point it is built from.
+    """
+
+    xy: np.ndarray
+    cls: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cls)
+
+
+# the labeled points that evaluation and matching entry points accept
+Points = PointSet | Sequence[LabeledPoint]
+
+
+def as_point_set(points: Points) -> PointSet:
+    """``points`` unchanged if it is a PointSet, else the PointSet of a
+    sequence of LabeledPoints."""
+    if isinstance(points, PointSet):
+        return points
+    xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    return PointSet(xy, np.array([p.class_id for p in points], dtype=np.int64))
+
+
+def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two (n, 2) and (m, 2)
+    coordinate arrays, shape n x m."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
 class CostMatrix:

@@ -214,6 +214,8 @@ class TestMatch:
             ("class_id", True, "class_id must be a JSON integer"),
             ("class_id", "1", "class_id must be a JSON integer"),
             ("class_id", 1.0, "class_id must be a JSON integer"),
+            ("image_id", 5, "image_id must be a JSON string"),
+            ("image_id", True, "image_id must be a JSON string"),
         ],
     )
     def test_non_numeric_json_scalars_exit_2(self, tmp_path, capsys, field, value, message):

@@ -17,6 +17,18 @@ def roundtrip(tmp_path, records, name):
     return path, read_point_file(path)
 
 
+# records with and without a confidence in one file
+MIXED = [
+    PointRecord("a", 1.0, 2.0, 1, confidence=0.5),
+    PointRecord("b", -1.0, 0.0, 3),
+]
+
+
+def table(tmp_path, records):
+    """The PointTable the reader makes of ``records``."""
+    return roundtrip(tmp_path, records, "table.csv")[1]
+
+
 class TestRoundTrip:
     def test_csv_plain(self, tmp_path):
         records = [
@@ -24,13 +36,16 @@ class TestRoundTrip:
             PointRecord("im1", -3.0, 0.125, 2),
             PointRecord("im2", 10.0, 20.0, 1),
         ]
-        _, back = roundtrip(tmp_path, records, "pts.csv")
+        path, back = roundtrip(tmp_path, records, "pts.csv")
         assert back == records
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        assert read_point_file(str(bom)) == records
 
     def test_csv_with_confidence(self, tmp_path):
-        records = [PointRecord("a", 0.0, 0.0, 1, confidence=0.75)]
-        _, back = roundtrip(tmp_path, records, "pts.csv")
-        assert back == records
+        for i, records in enumerate([[PointRecord("a", 0.0, 0.0, 1, confidence=0.75)], MIXED]):
+            _, back = roundtrip(tmp_path, records, f"pts{i}.csv")
+            assert back == records
 
     def test_csv_with_confidence_vector(self, tmp_path):
         records = [PointRecord("a", 1.0, 2.0, 2, confidences=(0.1, 0.2, 0.7))]
@@ -38,12 +53,8 @@ class TestRoundTrip:
         assert back == records
 
     def test_json_roundtrip(self, tmp_path):
-        records = [
-            PointRecord("a", 1.0, 2.0, 1, confidence=0.5),
-            PointRecord("b", -1.0, 0.0, 3),
-        ]
-        _, back = roundtrip(tmp_path, records, "pts.json")
-        assert back == records
+        _, back = roundtrip(tmp_path, MIXED, "pts.json")
+        assert back == MIXED
 
     def test_byte_stable_write(self, tmp_path):
         records = [PointRecord("a", 1.0, 2.0, 1)]
@@ -56,10 +67,13 @@ class TestRoundTrip:
 
 class TestParseErrors:
     def test_bad_header(self, tmp_path):
+        base = "image_id,x,y,class_id"
         path = tmp_path / "bad.csv"
-        path.write_text("x,y,z\n")
-        with pytest.raises(PointFileError, match="line 1"):
-            read_point_file(str(path))
+        for header in ["x,y,z", f"{base},conf_bg,foo", f"{base},conf_bg,conf_bg",
+                       f"{base},confidence,confidence", f"{base},conf_bg", f"{base},image_id"]:
+            path.write_text(header + "\n")
+            with pytest.raises(PointFileError, match="line 1"):
+                read_point_file(str(path))
 
     def test_bad_class_id(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -87,28 +101,28 @@ class TestParseErrors:
 
 
 class TestGrouping:
-    def test_group_labeled(self):
+    def test_group_labeled(self, tmp_path):
         records = [
             PointRecord("a", 0, 0, 1),
             PointRecord("b", 1, 1, 2),
             PointRecord("a", 2, 2, 1),
         ]
-        groups = group_labeled(records)
+        groups = group_labeled(table(tmp_path, records))
         assert set(groups) == {"a", "b"}
         assert len(groups["a"]) == 2
 
-    def test_group_predicted_single_confidence(self):
+    def test_group_predicted_single_confidence(self, tmp_path):
         records = [PointRecord("a", 0, 0, 2, confidence=0.8)]
-        groups = group_predicted(records, num_classes=2)
+        groups = group_predicted(table(tmp_path, records), num_classes=2)
         p = groups["a"][0]
         assert p.confidences == (0.19999999999999996, 0.0, 0.8)
 
-    def test_group_predicted_full_vector(self):
+    def test_group_predicted_full_vector(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
-        groups = group_predicted(records, num_classes=1)
+        groups = group_predicted(table(tmp_path, records), num_classes=1)
         assert groups["a"][0].confidences == (0.1, 0.9)
 
-    def test_group_predicted_wrong_vector_length(self):
+    def test_group_predicted_wrong_vector_length(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
         with pytest.raises(PointFileError):
-            group_predicted(records, num_classes=3)
+            group_predicted(table(tmp_path, records), num_classes=3)
