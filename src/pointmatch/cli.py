@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input parse error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -89,27 +90,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_class_ids(args) -> tuple[int, ...] | None:
-    if args.class_ids:
-        try:
-            ids = tuple(int(v) for v in args.class_ids.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --class-ids: {exc}") from None
-        if any(i < 1 for i in ids):
-            raise ConfigError("class ids must be >= 1")
-        return ids
-    if args.classes:
-        names = [n for n in args.classes.split(",") if n]
-        return tuple(range(1, len(names) + 1))
-    return None
-
-
-def _class_names(args, class_ids) -> dict[int, str]:
-    if not args.classes:
-        return {c: str(c) for c in class_ids}
-    names = [n for n in args.classes.split(",") if n]
-    mapping = {i + 1: name for i, name in enumerate(names)}
-    return {c: mapping.get(c, str(c)) for c in class_ids}
+def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
+    """The class ids named by ``--class-ids`` or ``--classes`` (None: take
+    them from the input files), and the names ``--classes`` binds to 1..T."""
+    names = dict(enumerate((n for n in (args.classes or "").split(",") if n), start=1))
+    if not args.class_ids:
+        return (tuple(names) if args.classes else None), names
+    try:
+        ids = tuple(int(v) for v in args.class_ids.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --class-ids: {exc}") from None
+    if any(i < 1 for i in ids):
+        raise ConfigError("class ids must be >= 1")
+    return ids, names
 
 
 def _load_eval_inputs(args):
@@ -117,7 +110,7 @@ def _load_eval_inputs(args):
     pred_table = pointfile.read_point_file(args.pred)
     gt_by_image = pointfile.group_labeled(gt_table)
     pred_by_image = pointfile.group_labeled(pred_table)
-    class_ids = _parse_class_ids(args)
+    class_ids, names = _parse_classes(args)
     observed = set(np.union1d(gt_table.cls, pred_table.cls).tolist())
     if class_ids is None:
         class_ids = tuple(sorted(observed)) or (1,)
@@ -127,24 +120,7 @@ def _load_eval_inputs(args):
             raise PointFileError(
                 f"unknown class_id(s) in input files: {sorted(unknown)}"
             )
-    return gt_by_image, pred_by_image, class_ids
-
-
-def _manifest(args, config: dict) -> RunManifest:
-    digests = {}
-    for attr in ("gt", "pred"):
-        path = getattr(args, attr, None)
-        if path:
-            digests[path] = pointfile.file_digest(path)
-    return RunManifest(config=config, input_digests=digests)
-
-
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    return gt_by_image, pred_by_image, class_ids, {c: names.get(c, str(c)) for c in class_ids}
 
 
 def _fmt_float(v: float) -> str:
@@ -163,6 +139,22 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
     return lines
 
 
+def _write_report(args, config: dict, payload: dict, render) -> int:
+    """Write the report to ``--output`` or stdout. JSON is ``payload`` plus
+    the run manifest; table and csv are the lines of ``render(fmt)``
+    followed by the manifest as ``#`` lines."""
+    digests = {path: pointfile.file_digest(path) for path in (args.gt, args.pred)}
+    manifest = RunManifest(config=config, input_digests=digests)
+    if args.fmt == "json":
+        text = json.dumps({**payload, "manifest": manifest.as_dict()}, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(render(args.fmt) + _manifest_lines(manifest))
+    with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
+          else contextlib.nullcontext(sys.stdout)) as f:
+        f.write(text + "\n")
+    return EXIT_OK
+
+
 def cmd_evaluate(args) -> int:
     protocol = _PROTOCOL_FLAGS.get(args.protocol)
     if protocol is None:
@@ -173,55 +165,41 @@ def cmd_evaluate(args) -> int:
     if args.radius <= 0:
         raise ConfigError("radius must be positive")
 
-    gt_by_image, pred_by_image, class_ids = _load_eval_inputs(args)
+    gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     config = EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
     report = evaluation.evaluate_dataset(gt_by_image, pred_by_image, config)
-    names = _class_names(args, class_ids)
-    manifest = _manifest(args, {
-        "radius": args.radius,
-        "protocol": protocol.value,
-        "class_ids": list(class_ids),
-        "aggregate": aggregate.value,
-    })
-
     per_class = [
         {"class_id": c.class_id, "class": names[c.class_id],
          "tp": c.tp, "fp": c.fp, "fn": c.fn, "f1": f1}
         for c, f1 in report.per_class
     ]
-    if args.fmt == "json":
-        payload = {
-            "protocol": protocol.value,
-            "per_class": per_class,
-            "macro_f1": report.macro_f1,
-            "images": report.images,
-            "manifest": manifest.as_dict(),
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    elif args.fmt == "csv":
-        lines = ["class_id,class,tp,fp,fn,f1"]
-        for row in per_class:
-            lines.append(
-                f"{row['class_id']},{row['class']},{row['tp']},{row['fp']},"
-                f"{row['fn']},{_fmt_float(row['f1'])}"
-            )
-        lines.append(f"macro,,,,,{_fmt_float(report.macro_f1)}")
-        lines += _manifest_lines(manifest)
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = [f"protocol: {protocol.value}  images: {report.images}",
-                 f"{'class':>12} {'tp':>6} {'fp':>6} {'fn':>6} {'f1':>8}"]
-        for row in per_class:
-            lines.append(
-                f"{row['class']:>12} {row['tp']:>6} {row['fp']:>6} {row['fn']:>6} "
-                f"{_fmt_float(row['f1']):>8}"
-            )
-        lines.append(f"{'macro_f1':>12} {'':>6} {'':>6} {'':>6} {_fmt_float(report.macro_f1):>8}")
-        lines += _manifest_lines(manifest)
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+
+    def render(fmt):
+        if fmt == "csv":
+            return [
+                "class_id,class,tp,fp,fn,f1",
+                *(f"{r['class_id']},{r['class']},{r['tp']},{r['fp']},{r['fn']},"
+                  f"{_fmt_float(r['f1'])}" for r in per_class),
+                f"macro,,,,,{_fmt_float(report.macro_f1)}",
+            ]
+        return [
+            f"protocol: {protocol.value}  images: {report.images}",
+            f"{'class':>12} {'tp':>6} {'fp':>6} {'fn':>6} {'f1':>8}",
+            *(f"{r['class']:>12} {r['tp']:>6} {r['fp']:>6} {r['fn']:>6} "
+              f"{_fmt_float(r['f1']):>8}" for r in per_class),
+            f"{'macro_f1':>12} {'':>6} {'':>6} {'':>6} {_fmt_float(report.macro_f1):>8}",
+        ]
+
+    return _write_report(
+        args,
+        {"radius": args.radius, "protocol": protocol.value, "class_ids": list(class_ids),
+         "aggregate": aggregate.value},
+        {"protocol": protocol.value, "per_class": per_class, "macro_f1": report.macro_f1,
+         "images": report.images},
+        render,
+    )
 
 
 def cmd_compare(args) -> int:
@@ -231,20 +209,12 @@ def cmd_compare(args) -> int:
     if args.radius <= 0:
         raise ConfigError("radius must be positive")
 
-    gt_by_image, pred_by_image, class_ids = _load_eval_inputs(args)
+    gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     rows = evaluation.compare_protocols(
         gt_by_image, pred_by_image, args.radius, class_ids, aggregate
     )
-    names = _class_names(args, class_ids)
-    manifest = _manifest(args, {
-        "radius": args.radius,
-        "class_ids": list(class_ids),
-        "aggregate": aggregate.value,
-    })
-
-    table = []
-    for row in rows:
-        table.append({
+    table = [
+        {
             "protocol": row.protocol.value,
             "per_class": [
                 {"class_id": cls, "class": names[cls], "f1": f1, "delta_pct": delta}
@@ -252,40 +222,28 @@ def cmd_compare(args) -> int:
             ],
             "macro_f1": row.macro_f1,
             "macro_delta_pct": row.macro_delta_pct,
-        })
+        }
+        for row in rows
+    ]
 
-    if args.fmt == "json":
-        payload = {"protocols": table, "manifest": manifest.as_dict()}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    elif args.fmt == "csv":
-        lines = ["protocol,class,f1,delta_pct"]
+    def render(fmt):
+        sep, widths = (",", (0,) * 4) if fmt == "csv" else (" ", (14, 12, 8, 9))
+        cells = [("protocol", "class", "f1", "delta_pct" if fmt == "csv" else "delta%")]
         for row in table:
-            for pc in row["per_class"]:
-                lines.append(
-                    f"{row['protocol']},{pc['class']},{_fmt_float(pc['f1'])},"
-                    f"{_fmt_float(pc['delta_pct'])}"
-                )
-            lines.append(
-                f"{row['protocol']},macro,{_fmt_float(row['macro_f1'])},"
-                f"{_fmt_float(row['macro_delta_pct'])}"
-            )
-        lines += _manifest_lines(manifest)
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        lines = [f"{'protocol':>14} {'class':>12} {'f1':>8} {'delta%':>9}"]
-        for row in table:
-            for pc in row["per_class"]:
-                lines.append(
-                    f"{row['protocol']:>14} {pc['class']:>12} "
-                    f"{_fmt_float(pc['f1']):>8} {_fmt_float(pc['delta_pct']):>9}"
-                )
-            lines.append(
-                f"{row['protocol']:>14} {'macro':>12} {_fmt_float(row['macro_f1']):>8} "
-                f"{_fmt_float(row['macro_delta_pct']):>9}"
-            )
-        lines += _manifest_lines(manifest)
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+            cells += [
+                (row["protocol"], pc["class"], _fmt_float(pc["f1"]), _fmt_float(pc["delta_pct"]))
+                for pc in row["per_class"]
+            ]
+            cells.append((row["protocol"], "macro", _fmt_float(row["macro_f1"]),
+                          _fmt_float(row["macro_delta_pct"])))
+        return [sep.join(c.rjust(w) for c, w in zip(line, widths)) for line in cells]
+
+    return _write_report(
+        args,
+        {"radius": args.radius, "class_ids": list(class_ids), "aggregate": aggregate.value},
+        {"protocols": table},
+        render,
+    )
 
 
 def cmd_match(args) -> int:
@@ -310,14 +268,6 @@ def cmd_match(args) -> int:
         reg_weight=args.lambda_reg,
         one2many_weight=args.lambda_one2many,
     )
-    manifest = _manifest(args, {
-        "tau": args.tau,
-        "beta": args.beta,
-        "lambda_bg": args.lambda_bg,
-        "lambda_fg": args.lambda_fg,
-        "lambda_reg": args.lambda_reg,
-        "lambda_one2many": args.lambda_one2many,
-    })
 
     images = []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
@@ -358,7 +308,7 @@ def cmd_match(args) -> int:
             },
         })
 
-    if args.fmt == "table":
+    def render(fmt):
         lines = []
         for img in images:
             lines.append(f"image {img['image_id']}:")
@@ -370,53 +320,48 @@ def cmd_match(args) -> int:
                         f"dist={p['distance']:.3f} cost={p['cost']:.4f}"
                     )
                 lines.append(f"    negatives: {img[section]['negatives']}")
-            loss = img["losses"]
             lines.append(
-                "  losses: "
-                + " ".join(f"{k}={v:.6g}" for k, v in loss.items())
+                "  losses: " + " ".join(f"{k}={v:.6g}" for k, v in img["losses"].items())
             )
-        lines += _manifest_lines(manifest)
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {"images": images, "manifest": manifest.as_dict()}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    return EXIT_OK
+        return lines
+
+    return _write_report(
+        args,
+        {"tau": args.tau, "beta": args.beta, "lambda_bg": args.lambda_bg,
+         "lambda_fg": args.lambda_fg, "lambda_reg": args.lambda_reg,
+         "lambda_one2many": args.lambda_one2many},
+        {"images": images},
+        render,
+    )
 
 
 def cmd_synth(args) -> int:
     if args.fixture is not None:
         if args.fixture != "figure3":
             raise ConfigError(f"unknown fixture: {args.fixture}")
+        image_id = "figure3"
         gts, preds = synth.figure3_fixture()
-        gt_records = [
-            PointRecord("figure3", p.x, p.y, p.class_id) for p in gts
-        ]
-        pred_records = [
-            PointRecord("figure3", p.x, p.y, p.class_id, confidence=1.0) for p in preds
-        ]
     else:
-        try:
-            model = synth.PerturbationModel(
-                seed=args.seed,
-                jitter_sigma=args.jitter,
-                drop_rate=args.drop,
-                spurious_rate=args.spurious,
-                extent=tuple(args.extent),
-                density=args.density,
-                class_ids=tuple(range(1, args.num_classes + 1)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        model = synth.PerturbationModel(
+            seed=args.seed,
+            jitter_sigma=args.jitter,
+            drop_rate=args.drop,
+            spurious_rate=args.spurious,
+            extent=tuple(args.extent),
+            density=args.density,
+            class_ids=tuple(range(1, args.num_classes + 1)),
+        )
         image_id = f"synthetic-{args.seed}"
         gts = synth.gen_ground_truth(model)
         preds = synth.perturb(gts, model)
-        gt_records = [PointRecord(image_id, p.x, p.y, p.class_id) for p in gts]
-        pred_records = [
-            PointRecord(image_id, p.x, p.y, p.class_id, confidence=1.0) for p in preds
-        ]
 
-    pointfile.write_point_file(args.gt_out, gt_records)
-    pointfile.write_point_file(args.pred_out, pred_records)
+    pointfile.write_point_file(
+        args.gt_out, [PointRecord(image_id, p.x, p.y, p.class_id) for p in gts]
+    )
+    pointfile.write_point_file(
+        args.pred_out,
+        [PointRecord(image_id, p.x, p.y, p.class_id, confidence=1.0) for p in preds],
+    )
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ CSV schema (UTF-8, optionally with a byte-order mark, comma-delimited, LF):
     image_id,x,y,class_id
     image_id,x,y,class_id,confidence
     image_id,x,y,class_id,conf_bg,conf_1,...,conf_T
-An empty ``confidence`` cell is a record without a confidence. The JSON
+An empty ``confidence`` cell is a record without a confidence, and a row
+whose ``conf_*`` cells are all empty a record without a vector. The JSON
 variant is an array of objects with the same field names (``confidences``
 holds the vector); ``image_id`` must be a JSON string.
 
@@ -173,8 +174,11 @@ def _parse_csv(lines) -> PointTable:
     reader = csv.reader(lines)
     try:
         header = next(reader)
+        rows = list(reader)
     except StopIteration:
         raise PointFileError("line 1: missing header") from None
+    except csv.Error as exc:  # e.g. an unclosed quote runs past the field size limit
+        raise PointFileError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip() for h in header]
     if header[:4] != _BASE_COLUMNS:
         raise PointFileError("line 1: header must start with image_id,x,y,class_id")
@@ -193,18 +197,19 @@ def _parse_csv(lines) -> PointTable:
         columns = list(zip(*rows)) or [()] * width
         xy = np.stack([_column(columns[1], float), _column(columns[2], float)], axis=1)
         cls = _column(columns[3], np.int64)
+        if not extra:
+            return _table(columns[0], xy, cls)
+        cells = columns[4:]
+        # a row whose extra cells are all empty is a record without a
+        # confidence (vector); a row with only some empty fails to parse
+        empty = None
+        if any("" in c for c in cells):
+            empty = np.logical_and.reduce([np.array(c) == "" for c in cells])
+            cells = [["0" if e else v for v, e in zip(c, empty)] for c in cells]
+        values = np.stack([_column(c, float) for c in cells], axis=1)
         if extra == ["confidence"]:
-            cells = columns[4]
-            # an empty cell is a record without a confidence
-            empty = np.array([c == "" for c in cells]) if "" in cells else None
-            confidence = _column(cells if empty is None else [c or "0" for c in cells], float)
-            return _table(columns[0], xy, cls, confidence, no_confidence=empty)
-        if extra:
-            vectors = np.stack([_column(c, float) for c in columns[4:]], axis=1)
-            return _table(columns[0], xy, cls, confidences=vectors)
-        return _table(columns[0], xy, cls)
-
-    rows = list(reader)
+            return _table(columns[0], xy, cls, values[:, 0], no_confidence=empty)
+        return _table(columns[0], xy, cls, confidences=values, no_vector=empty)
 
     def where(i: int) -> str:
         return f"line {[n for n, row in enumerate(rows, start=2) if row][i]}"
@@ -271,10 +276,22 @@ def _parse_json(text: str) -> PointTable:
 
 
 def read_point_file(path: str) -> PointTable:
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        if path.endswith(".json"):
-            return _parse_json(f.read())
-        return _parse_csv(f)
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            if path.endswith(".json"):
+                return _parse_json(f.read())
+            return _parse_csv(f)
+    except UnicodeDecodeError as exc:
+        # the streaming decoder counts offsets from its last buffer, so the
+        # whole file is decoded again for the offset in the file
+        with open(path, "rb") as f:
+            try:
+                f.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise PointFileError(
+            f"byte offset {exc.start}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
+        ) from None
 
 
 def write_point_file(path: str, records: list[PointRecord]) -> None:
@@ -300,6 +317,12 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
     header = list(_BASE_COLUMNS)
     if n_conf:
         header += ["conf_bg"] + [f"conf_{t}" for t in range(1, n_conf)]
+        if has_single:
+            i = next(i for i, r in enumerate(records) if r.confidence is not None)
+            raise ValueError(
+                f"record {i} (image {records[i].image_id}): a conf_* CSV has no column "
+                "for its single confidence"
+            )
     elif has_single:
         header += ["confidence"]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -308,7 +331,7 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
         for r in records:
             row = [r.image_id, repr(r.x), repr(r.y), r.class_id]
             if n_conf:
-                row += [repr(c) for c in r.confidences]
+                row += [""] * n_conf if r.confidences is None else [repr(c) for c in r.confidences]
             elif has_single:
                 row += [repr(r.confidence) if r.confidence is not None else ""]
             writer.writerow(row)

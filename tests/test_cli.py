@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import re
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointmatch.cli import main
+from pointmatch.pointfile import read_point_file, write_point_file
 
 
 def run(capsys, *argv):
@@ -92,6 +100,20 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", str(bad), figure3_files[1])
         assert code == 2
         assert "class_id must be >= 1" in err
+
+    @pytest.mark.parametrize("name, content", [
+        ("bad.csv", b"image_id,x,y,class_id\n\xe9,1,2,1\n"),
+        ("bom.csv", b"\xef\xbb\xbfimage_id,x,y,class_id\n\xe9,1,2,1\n"),
+        # past the first buffer of the streaming decoder
+        ("long.csv", b"image_id,x,y,class_id\n" + b"im,1,2,1\n" * 2000 + b"\xe9,1,2,1\n"),
+        ("bad.json", b'[{"image_id": "\xe9", "x": 1, "y": 2, "class_id": 1}]'),
+    ], ids=["csv", "csv-bom", "csv-long", "json"])
+    def test_non_utf8_file_exits_2(self, tmp_path, figure3_files, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "evaluate", figure3_files[0], str(bad))
+        assert code == 2 and out == ""
+        assert f"byte offset {content.index(0xE9)}: byte 0xe9 is not valid UTF-8" in err
 
     def test_missing_file_exits_2(self, figure3_files, capsys):
         code, _, _ = run(capsys, "evaluate", "/nonexistent.csv", figure3_files[1])
@@ -228,3 +250,137 @@ class TestMatch:
         code, out, err = run(capsys, "match", str(gt), str(pred))
         assert code == 2
         assert out == "" and message in err
+
+
+# Golden outputs: the exact bytes of every report format, with the run's
+# timestamp and temporary directory replaced by placeholders.
+GOLDEN = Path(__file__).parent / "golden"
+TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00")
+
+# two images, three classes, single confidences (one record without); image
+# b repeats the figure-3 geometry, and image a has a duplicate detection
+HAND_GT = """image_id,x,y,class_id
+a,10,10,1
+a,20,10,2
+a,40,40,3
+a,60,60,1
+b,5,5,2
+b,50,50,3
+b,80,50,3
+"""
+HAND_PRED = """image_id,x,y,class_id,confidence
+a,11,10,1,0.9
+a,9,11,1,0.5
+a,21,12,2,0.8
+a,44,40,3,0.6
+a,30,30,1,0.4
+a,58,61,2,0.7
+b,6,5,2,0.95
+b,53,50,3,0.3
+b,42,50,3,
+b,120,120,1,0.2
+"""
+# training proposals for the figure-3 ground truths, with class vectors
+MATCH_PRED = """image_id,x,y,class_id,conf_bg,conf_1,conf_2
+figure3,3,0,1,0.2,0.7,0.1
+figure3,-8,0,1,0.5,0.4,0.1
+figure3,28,1,2,0.3,0.3,0.4
+figure3,31,-2,1,0.1,0.8,0.1
+figure3,100,100,2,0.6,0.1,0.3
+"""
+
+EVAL_INPUTS = {
+    "figure3": ["fig_gt.csv", "fig_pred.csv", "--radius", "6"],
+    "hand": ["hand_gt.csv", "hand_pred.csv", "--classes", "epi,lym,mac",
+             "--aggregate", "per-image-mean"],
+}
+GOLDEN_CASES = {
+    **{
+        f"evaluate-{name}-{protocol}.{fmt}": ["evaluate", *inputs, "--protocol", protocol,
+                                              "--format", fmt]
+        for name, inputs in EVAL_INPUTS.items()
+        for protocol in ("matched", "raw-hungarian", "greedy")
+        for fmt in ("table", "csv", "json")
+    },
+    **{
+        f"compare-{name}.{fmt}": ["compare", *inputs, "--format", fmt]
+        for name, inputs in EVAL_INPUTS.items()
+        for fmt in ("table", "csv", "json")
+    },
+    **{
+        f"match-beta{beta}.{fmt}": ["match", "fig_gt.csv", "match_pred.csv", "--beta", str(beta),
+                                    "--format", fmt]
+        for beta in (1, 2)
+        for fmt in ("table", "json")
+    },
+}
+
+
+@pytest.fixture
+def golden_inputs(tmp_path):
+    assert main(["synth", "--fixture", "figure3", "--gt-out", str(tmp_path / "fig_gt.csv"),
+                 "--pred-out", str(tmp_path / "fig_pred.csv")]) == 0
+    for name, text in [("hand_gt.csv", HAND_GT), ("hand_pred.csv", HAND_PRED),
+                       ("match_pred.csv", MATCH_PRED)]:
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def golden_run(capsys, tmp_path, argv, output=None):
+    """The report of ``argv`` (file names resolved in ``tmp_path``) with
+    placeholders for the timestamp and ``tmp_path``."""
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    code, out, err = run(capsys, *argv, *(["--output", output] if output else []))
+    assert code == 0, err
+    if output:
+        assert out == ""
+        out = Path(output).read_text(encoding="utf-8")
+    return TIMESTAMP.sub("<TIMESTAMP>", out.replace(str(tmp_path), "<TMP>"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(golden_inputs, capsys, name):
+    argv = GOLDEN_CASES[name]
+    out = golden_run(capsys, golden_inputs, argv)
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    assert golden_run(capsys, golden_inputs, argv, str(golden_inputs / "report.out")) == out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "gt.csv").write_text(HAND_GT)
+    (d / "pred.csv").write_text(HAND_PRED)
+    write_point_file(str(d / "pred.json"), list(read_point_file(str(d / "pred.csv"))))
+    return d
+
+
+# an edit is (position, byte or None to delete, insert instead of replace);
+# number bytes keep many mutants parseable, the others are not valid UTF-8
+# or are CSV/JSON syntax
+EDITS = st.lists(
+    st.tuples(st.integers(0, 2**16),
+              st.sampled_from(b"0159.e-") | st.sampled_from(b'\xe9\xff\x00\n",:[]{}') | st.none(),
+              st.booleans()),
+    min_size=1, max_size=2,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(suffix=st.sampled_from([".csv", ".json"]), edits=EDITS)
+def test_fuzzed_prediction_file(fuzz_dir, suffix, edits):
+    data = bytearray((fuzz_dir / f"pred{suffix}").read_bytes())
+    for position, byte, insert in edits:
+        i = position % (len(data) + 1)
+        if byte is None:
+            del data[i:i + 1]
+        else:
+            data[i:i + (not insert)] = bytes([byte])
+    pred = fuzz_dir / f"mutant{suffix}"
+    pred.write_bytes(bytes(data))
+    gt, out = str(fuzz_dir / "gt.csv"), str(fuzz_dir / "report")
+    allowed = {"evaluate": {0, 2}, "compare": {0, 2}, "match": {0, 2, 3}}
+    for command, codes in allowed.items():
+        with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, gt, str(pred), "--output", out]) in codes

@@ -48,9 +48,17 @@ class TestRoundTrip:
             assert back == records
 
     def test_csv_with_confidence_vector(self, tmp_path):
-        records = [PointRecord("a", 1.0, 2.0, 2, confidences=(0.1, 0.2, 0.7))]
-        _, back = roundtrip(tmp_path, records, "pts.csv")
-        assert back == records
+        vector = PointRecord("a", 1.0, 2.0, 2, confidences=(0.1, 0.2, 0.7))
+        # records with and without a vector, as one JSON file may hold them
+        for i, records in enumerate([[vector], [vector, PointRecord("b", 0.0, 0.0, 1)]]):
+            _, back = roundtrip(tmp_path, records, f"pts{i}.csv")
+            assert back == records
+        partial = tmp_path / "partial.csv"
+        partial.write_text("image_id,x,y,class_id,conf_bg,conf_1\na,1,2,1,,\na,1,2,1,0.5,\n")
+        with pytest.raises(PointFileError, match="line 3"):
+            read_point_file(str(partial))
+        with pytest.raises(ValueError, match="record 1"):
+            write_point_file(str(tmp_path / "single.csv"), [vector, MIXED[0]])
 
     def test_json_roundtrip(self, tmp_path):
         _, back = roundtrip(tmp_path, MIXED, "pts.json")
@@ -91,6 +99,12 @@ class TestParseErrors:
         path = tmp_path / "bad.csv"
         path.write_text("image_id,x,y,class_id,confidence\nim,1,2,1,1.5\n")
         with pytest.raises(PointFileError, match="confidence"):
+            read_point_file(str(path))
+
+    def test_unclosed_quote(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('image_id,x,y,class_id\n"a,1,2,1\n' + "b,1,2,1\n" * 20000)
+        with pytest.raises(PointFileError, match="field larger than field limit"):
             read_point_file(str(path))
 
     def test_invalid_json(self, tmp_path):
