@@ -12,6 +12,7 @@ from .assignment import (
     brute_force_min_cost,
     solve_max_matching,
     solve_min_cost,
+    solve_min_cost_batch,
 )
 from .evaluation import (
     Aggregate,
@@ -79,5 +80,6 @@ __all__ = [
     "regression_loss",
     "solve_max_matching",
     "solve_min_cost",
+    "solve_min_cost_batch",
     "threshold_predictions",
 ]

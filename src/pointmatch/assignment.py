@@ -10,6 +10,7 @@ absolute tolerance of 1e-9.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -50,47 +51,168 @@ def _shortest_augmenting_path(a: np.ndarray):
     n, m = a.shape
     u = a.min(axis=1)
     v = np.zeros(m)
-    col4row = np.full(n, -1, dtype=np.int64)
-    row4col = np.full(m, -1, dtype=np.int64)
+    col4row = [-1] * n
+    row4col = [-1] * m
     for i, j in enumerate(a.argmin(axis=1).tolist()):
         if row4col[j] == -1:
             row4col[j], col4row[i] = i, j
-    for cur in np.flatnonzero(col4row == -1).tolist():
-        dist = np.full(m, np.inf)
+    # a search ends on a free column and frees none, so each search removes
+    # exactly its last column from this ascending list
+    free = np.array([j for j in range(m) if row4col[j] == -1], dtype=np.int64)
+    for cur in [i for i in range(n) if col4row[i] == -1]:
+        # cand: tentative distance of each column not yet reached, inf once
+        # it is; reached columns and their distances go to cols/dists
+        cand = np.full(m, np.inf)
         pred = np.zeros(m, dtype=np.int64)
         todo = np.ones(m, dtype=bool)
-        scanned = []
+        cols, dists = [], []
         i, lowest = cur, 0.0
         while True:
-            scanned.append(i)
             reach = lowest + a[i] - u[i] - v
-            better = todo & (reach < dist)
-            dist[better] = reach[better]
+            better = todo & (reach < cand)
+            cand[better] = reach[better]
             pred[better] = i
-            cand = np.where(todo, dist, np.inf)
-            j = int(np.argmin(cand))
+            j = int(cand.argmin())
             lowest = cand[j]
             if row4col[j] != -1:
                 # among equally near columns a free one ends the search now
-                free = np.flatnonzero((cand == lowest) & (row4col == -1))
-                if free.size:
-                    j = int(free[0])
+                tie = free[cand[free] == lowest]
+                if tie.size:
+                    j = int(tie[0])
             todo[j] = False
-            if row4col[j] == -1:
-                break
+            cand[j] = np.inf
+            cols.append(j)
+            dists.append(lowest)
             i = row4col[j]
+            if i == -1:
+                break
+        free = free[free != j]
+        dists = np.array(dists)
         u[cur] += lowest
-        rows = np.array(scanned[1:], dtype=np.int64)
-        u[rows] += lowest - dist[col4row[rows]]
-        done = ~todo
-        v[done] -= lowest - dist[done]
+        u[[row4col[c] for c in cols[:-1]]] += lowest - dists[:-1]
+        v[cols] -= lowest - dists
         while True:
-            i = pred[j]
+            i = int(pred[j])
             row4col[j] = i
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return col4row, u, v
+    return np.array(col4row, dtype=np.int64), u, v
+
+
+def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
+    """``_shortest_augmenting_path`` of every matrix of ``mats``, in lockstep.
+
+    The matrices (each n <= m) are padded with +inf into one (B, N, M)
+    block: an inf column is never reached and an inf row never searched.
+    Each round advances every unfinished search by one Dijkstra step, with
+    numpy operations on the (K, M) arrays of the K problems still searching.
+    A search that reaches a free column updates its duals, flips its path
+    and starts its problem's next free row; a problem with none left is
+    dropped from those arrays. Every element goes through the serial loop's
+    arithmetic in the same order and ties break the same way, so each
+    problem's (col4row, u, v) is bit-identical to the serial loop's.
+    """
+    shapes = [a.shape for a in mats]
+    n_of = np.array([n for n, _ in shapes])
+    b_all, n_max, m_max = len(mats), int(n_of.max()), max(m for _, m in shapes)
+    a_all = np.full((b_all, n_max, m_max), np.inf)
+    for b, a in enumerate(mats):
+        a_all[b, : a.shape[0], : a.shape[1]] = a
+    u_all = a_all.min(axis=2)
+    v_all = np.zeros((b_all, m_max))
+    c4r_all = np.full((b_all, n_max), -1, dtype=np.int64)
+    r4c_all = np.full((b_all, m_max), -1, dtype=np.int64)
+    # row reduction: the first row of a problem whose minimum is column j
+    # takes it
+    real = np.arange(n_max) < n_of[:, None]
+    pb, pr = np.nonzero(real)
+    pc = a_all.argmin(axis=2)[pb, pr]
+    _, first = np.unique(pb * m_max + pc, return_index=True)
+    c4r_all[pb[first], pr[first]] = pc[first]
+    r4c_all[pb[first], pc[first]] = pr[first]
+    queue = [[] for _ in range(b_all)]
+    for b, r in zip(*np.nonzero(real & (c4r_all == -1))):
+        queue[b].append(int(r))
+
+    # row k of the arrays below is the search of problem pid[k], rooted at
+    # row cur[k] and now at row row[k]; cand, pred and todo are as in the
+    # serial loop, dist holds each reached column's distance, and free marks
+    # the columns free when the search began
+    pid = np.array([b for b in range(b_all) if queue[b]], dtype=np.int64)
+    cur = np.array([queue[b].pop(0) for b in pid.tolist()], dtype=np.int64)
+    row = cur.copy()
+    lowest = np.zeros(len(pid))
+    cand = np.full((len(pid), m_max), np.inf)
+    todo = np.ones(cand.shape, dtype=bool)
+    pred = np.zeros(cand.shape, dtype=np.int64)
+    dist = np.zeros(cand.shape)
+    u, v, c4r, r4c = u_all[pid], v_all[pid], c4r_all[pid], r4c_all[pid]
+    free = r4c == -1
+    a_rows = a_all.reshape(-1, m_max)
+    while len(pid):
+        # flat indices into the (K, N) and (K, M) arrays
+        at_n = np.arange(0, len(pid) * n_max, n_max)
+        at_m = np.arange(0, len(pid) * m_max, m_max)
+        while True:
+            reach = a_rows.take(pid * n_max + row, axis=0)
+            reach += lowest[:, None]
+            reach -= u.take(at_n + row)[:, None]
+            reach -= v
+            better = reach < cand
+            better &= todo
+            np.copyto(cand, reach, where=better)
+            np.copyto(pred, row[:, None], where=better)
+            j = cand.argmin(axis=1)
+            lowest = cand.take(at_m + j)
+            # among equally near columns a free one ends the search now
+            tie = cand == lowest[:, None]
+            tie &= free
+            first = tie.argmax(axis=1)
+            j = np.where(tie.take(at_m + first), first, j)
+            at = at_m + j
+            todo.put(at, False)
+            cand.put(at, np.inf)
+            dist.put(at, lowest)
+            row = r4c.take(at)
+            ended = np.flatnonzero(row == -1)
+            if ended.size:
+                break
+        # the serial loop's dual update of each ended search
+        low = lowest[ended]
+        reached = ~todo[ended]
+        ve = v[ended]
+        np.subtract(ve, low[:, None] - dist[ended], out=ve, where=reached)
+        v[ended] = ve
+        u[ended, cur[ended]] += low
+        ek, ej = np.nonzero(reached & ~free[ended])
+        ek = ended[ek]
+        u[ek, r4c[ek, ej]] += lowest[ek] - dist[ek, ej]
+        restart = np.zeros(len(pid), dtype=bool)
+        for k, col in zip(ended.tolist(), j[ended].tolist()):
+            p, c4r_k, r4c_k, root = pred[k], c4r[k], r4c[k], cur[k]
+            while True:
+                i = p[col]
+                r4c_k[col] = i
+                c4r_k[i], col = col, c4r_k[i]
+                if i == root:
+                    break
+            if queue[pid[k]]:
+                restart[k] = True
+                cur[k] = row[k] = queue[pid[k]].pop(0)
+        lowest[restart] = 0.0
+        cand[restart] = np.inf
+        todo[restart] = True
+        free[restart] = r4c[restart] == -1
+        done = ended[~restart[ended]]
+        if done.size:
+            u_all[pid[done]], v_all[pid[done]], c4r_all[pid[done]] = u[done], v[done], c4r[done]
+            keep = np.ones(len(pid), dtype=bool)
+            keep[done] = False
+            pid, cur, row, lowest = pid[keep], cur[keep], row[keep], lowest[keep]
+            cand, todo, pred, dist = cand[keep], todo[keep], pred[keep], dist[keep]
+            u, v, c4r, r4c, free = u[keep], v[keep], c4r[keep], r4c[keep], free[keep]
+    return [(c4r_all[b, :n], u_all[b, :n], v_all[b, :m]) for b, (n, m) in enumerate(shapes)]
 
 
 def _adjacency(mask: np.ndarray) -> list[list[int]]:
@@ -229,19 +351,14 @@ def _lex_refine(adj, n_rows, n_cols, match_row, match_col, n_lex=None, shared=()
     return pairs
 
 
-def solve_min_cost(costs: CostMatrix) -> Assignment:
-    """Minimum-cost assignment of size min(rows, cols).
-
-    Among equal-cost optima (within 1e-9) returns the lexicographically
-    smallest pair list. Empty matrices yield the empty assignment.
-    """
+def _min_cost_pairs(costs: CostMatrix, col4row, u, v) -> Assignment:
+    """The lexicographically smallest optimal assignment of ``costs``, from
+    the solution and duals the shortest augmenting path found for it (for
+    its transpose when it has more rows than columns)."""
     n_rows, n_cols = costs.rows, costs.cols
-    if min(n_rows, n_cols) == 0:
-        return _finish([], n_rows, n_cols)
     a = costs.values
     n = max(n_rows, n_cols)
     transposed = n_rows > n_cols
-    col4row, u, v = _shortest_augmenting_path(a.T if transposed else a)
     if transposed:
         u, v = v, u
     match_row = [-1] * n
@@ -273,6 +390,33 @@ def solve_min_cost(costs: CostMatrix) -> Assignment:
         match_col[c] = r
     pairs = _lex_refine(adj, n, n, match_row, match_col, n_rows, shared, joins)
     return _finish([(r, c) for r, c in pairs if c < n_cols], n_rows, n_cols)
+
+
+def solve_min_cost_batch(costs: Sequence[CostMatrix]) -> list[Assignment]:
+    """``solve_min_cost`` of each matrix, in order.
+
+    One non-empty matrix runs the serial shortest augmenting path; several
+    run it in lockstep, one numpy round per Dijkstra step of all of them.
+    Both give the same duals, so the choice never changes a pair list.
+    """
+    oriented = [c.values.T if c.rows > c.cols else c.values for c in costs if c.rows and c.cols]
+    if len(oriented) > 1:
+        duals = iter(_lockstep_sap(oriented))
+    else:
+        duals = map(_shortest_augmenting_path, oriented)
+    return [
+        _min_cost_pairs(c, *next(duals)) if c.rows and c.cols else _finish([], c.rows, c.cols)
+        for c in costs
+    ]
+
+
+def solve_min_cost(costs: CostMatrix) -> Assignment:
+    """Minimum-cost assignment of size min(rows, cols).
+
+    Among equal-cost optima (within 1e-9) returns the lexicographically
+    smallest pair list. Empty matrices yield the empty assignment.
+    """
+    return solve_min_cost_batch([costs])[0]
 
 
 def solve_max_matching(adjacency: BoolMatrix) -> Assignment:

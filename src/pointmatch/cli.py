@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -253,11 +254,18 @@ def cmd_match(args) -> int:
         raise ConfigError("tau must be positive")
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
-    gt_by_image = pointfile.group_labeled(gt_table)
-
-    num_classes = int(np.concatenate([gt_table.cls, pred_table.cls, [1]]).max())
+    classes = np.concatenate([gt_table.cls, pred_table.cls])
     if pred_table.confidences is not None:
-        num_classes = max(num_classes, pred_table.confidences.shape[1] - 1)
+        num_classes = max(pred_table.confidences.shape[1] - 1, int(classes.max()))
+    else:
+        # no confidence vectors: only the classes that occur need a column,
+        # and all foreground weights are equal, so numbering them 1..K
+        # changes no cost or loss
+        occurring, cls = np.unique(classes, return_inverse=True)
+        gt_table = replace(gt_table, cls=cls[: len(gt_table)] + 1)
+        pred_table = replace(pred_table, cls=cls[len(gt_table) :] + 1)
+        num_classes = max(len(occurring), 1)
+    gt_by_image = pointfile.group_labeled(gt_table)
     pred_by_image = pointfile.group_predicted(pred_table, num_classes)
 
     class_weights = (args.lambda_bg,) + (args.lambda_fg,) * num_classes

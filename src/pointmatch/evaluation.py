@@ -6,7 +6,9 @@ Matching is computed independently per class: a prediction can only ever
 match a ground truth of the same class. Images are ``PointSet`` columns; each
 image is split by class once, and each (image, class) distance matrix is
 built once and shared by every protocol scored, all three under
-``compare_protocols``.
+``compare_protocols``. The raw-Hungarian min-cost solves of successive
+(image, class) cells are gathered into batches of at most
+``RAW_HUNGARIAN_BATCH`` and each batch is solved by one call.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import solve_max_matching, solve_min_cost
+from .assignment import solve_max_matching, solve_min_cost_batch
 from .types import BoolMatrix, CostMatrix, Points, PointSet, as_point_set, distance_matrix
+
+
+# raw-Hungarian cells solved per batched call; bounds the distance matrices
+# held at once
+RAW_HUNGARIAN_BATCH = 64
 
 
 class Protocol(str, enum.Enum):
@@ -83,21 +90,45 @@ def f1_from_counts(counts: ClassCounts) -> float:
 def _class_counts(
     protocol: Protocol, class_id: int, dist: np.ndarray, radius: float
 ) -> ClassCounts:
-    """TP/FP/FN of one (image, class) under one protocol, from its N x M
-    ground-truth-to-prediction distance matrix."""
+    """TP/FP/FN of one (image, class) under the matched or the greedy
+    protocol, from its N x M ground-truth-to-prediction distance matrix."""
     n, m = dist.shape
+    within = dist <= radius
     if protocol is Protocol.MATCHED:
-        tp = solve_max_matching(BoolMatrix(dist <= radius)).size
-        fn = n - tp
-    elif protocol is Protocol.RAW_HUNGARIAN:
-        assignment = solve_min_cost(CostMatrix(dist))
-        tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= radius)
+        tp = solve_max_matching(BoolMatrix(within)).size
         fn = n - tp
     else:
-        within = dist <= radius
         tp = int(within.any(axis=0).sum())
         fn = n - int(within.any(axis=1).sum())
     return ClassCounts(class_id=class_id, tp=tp, fp=m - tp, fn=fn)
+
+
+class _RawHungarianBatch:
+    """Raw-Hungarian cells waiting for one batched min-cost solve.
+
+    ``add`` records where a cell's counts go; they are written when the
+    batch is solved, on the ``RAW_HUNGARIAN_BATCH``-th cell or at ``flush``.
+    """
+
+    def __init__(self, radius: float):
+        self.radius = radius
+        self.cells = []  # (counts dict, class id, distance matrix)
+
+    def add(self, out: dict, class_id: int, dist: np.ndarray):
+        out[Protocol.RAW_HUNGARIAN, class_id] = None  # until the batch is solved
+        self.cells.append((out, class_id, dist))
+        if len(self.cells) == RAW_HUNGARIAN_BATCH:
+            self.flush()
+
+    def flush(self):
+        solved = solve_min_cost_batch([CostMatrix(dist) for _, _, dist in self.cells])
+        for (out, cls, dist), assignment in zip(self.cells, solved):
+            n, m = dist.shape
+            tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= self.radius)
+            out[Protocol.RAW_HUNGARIAN, cls] = ClassCounts(
+                class_id=cls, tp=tp, fp=m - tp, fn=n - tp
+            )
+        self.cells.clear()
 
 
 def evaluate_image(
@@ -106,14 +137,25 @@ def evaluate_image(
     radius: float,
     class_ids: Sequence[int],
     protocols: Sequence[Protocol],
+    batch: _RawHungarianBatch | None = None,
 ) -> dict[tuple[Protocol, int], ClassCounts]:
     """Counts of one image per (protocol, class). Each class's distance
-    matrix is built once and scored under every protocol."""
+    matrix is built once and scored under every protocol. Raw-Hungarian
+    cells go to ``batch`` when one is given, and their counts are filled in
+    when it is solved; otherwise they are solved before returning."""
+    own = batch is None
+    if own:
+        batch = _RawHungarianBatch(radius)
     out = {}
     for cls in class_ids:
         dist = distance_matrix(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls])
         for protocol in protocols:
-            out[protocol, cls] = _class_counts(protocol, cls, dist, radius)
+            if protocol is Protocol.RAW_HUNGARIAN:
+                batch.add(out, cls, dist)
+            else:
+                out[protocol, cls] = _class_counts(protocol, cls, dist, radius)
+    if own:
+        batch.flush()
     return out
 
 
@@ -162,16 +204,20 @@ def match_greedy(
 def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> list[dict]:
     """Per-image counts over the union of image ids, in sorted order."""
     empty = as_point_set(())
-    return [
+    batch = _RawHungarianBatch(radius)
+    per_image = [
         evaluate_image(
             as_point_set(gt_by_image.get(image_id, empty)),
             as_point_set(pred_by_image.get(image_id, empty)),
             radius,
             class_ids,
             protocols,
+            batch,
         )
         for image_id in sorted(set(gt_by_image) | set(pred_by_image))
     ]
+    batch.flush()
+    return per_image
 
 
 def _report(protocol: Protocol, per_image: list[dict], config: EvalConfig) -> EvalReport:

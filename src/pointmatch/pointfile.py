@@ -364,7 +364,6 @@ def group_predicted(table: PointTable, num_classes: int) -> dict[str, list[Predi
     records with no confidence get full confidence for their class.
     """
     n = len(table)
-    conf = np.zeros((n, num_classes + 1))
     vector = np.zeros(n, dtype=bool)
     if table.confidences is not None:
         vector = ~np.isnan(table.confidences).all(axis=1)
@@ -373,6 +372,8 @@ def group_predicted(table: PointTable, num_classes: int) -> dict[str, list[Predi
                 f"record for image {table.image_id[int(np.argmax(vector))]}: expected "
                 f"{num_classes + 1} confidences, got {table.confidences.shape[1]}"
             )
+    conf = np.zeros((n, num_classes + 1))
+    if vector.any():
         conf[vector] = table.confidences[vector]
     single = np.ones(n) if table.confidence is None else table.confidence
     plain = np.flatnonzero(~vector)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
+    _lockstep_sap,
     _shortest_augmenting_path,
     brute_force_max_matching,
     brute_force_min_cost,
@@ -319,3 +320,62 @@ def test_min_cost_agrees_with_scipy_on_near_square_distances(shape):
     _structural_ok(a, cm.rows, cm.cols)
     assert a.size == min(shape)
     assert abs(a.total_cost(cm) - values[rows, cols].sum()) < 1e-9
+
+
+TIE_KINDS = ("integer", "binary", "quarter", "zero", "replicated", "signed", "distance")
+
+
+def _tie_heavy(kind, rows, cols, seed):
+    """One cost matrix of a tie-heavy kind, oriented rows <= cols."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        a = rng.integers(0, 6, (rows, cols)).astype(float)
+    elif kind == "binary":
+        a = rng.integers(0, 2, (rows, cols)).astype(float)
+    elif kind == "quarter":
+        a = rng.integers(-8, 9, (rows, cols)) / 4.0
+    elif kind == "zero":
+        a = np.zeros((rows, cols))
+    elif kind == "replicated":
+        beta = int(rng.integers(2, 5))
+        a = np.repeat(rng.integers(0, 4, (-(-rows // beta), cols)), beta, axis=0)[:rows]
+    elif kind == "signed":
+        a = rng.normal(0.0, 10.0, (rows, cols))
+    else:
+        gts = rng.integers(0, 12, (rows, 2))
+        preds = rng.integers(0, 12, (cols, 2))
+        a = np.round(np.linalg.norm(gts[:, None, :] - preds[None, :, :], axis=2), 1)
+    a = np.asarray(a, dtype=float)
+    return a.T if rows > cols else a
+
+
+tie_heavy_batches = st.lists(
+    st.builds(
+        _tie_heavy,
+        st.sampled_from(TIE_KINDS),
+        st.integers(1, 10),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_same_duals(mats):
+    for a, lockstep in zip(mats, _lockstep_sap(mats), strict=True):
+        for serial, batched in zip(_shortest_augmenting_path(a), lockstep, strict=True):
+            assert np.array_equal(serial, batched)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(tie_heavy_batches)
+def test_lockstep_duals_equal_serial(mats):
+    _assert_same_duals(mats)
+
+
+@pytest.mark.parametrize("size", [1, 130])
+def test_lockstep_duals_equal_serial_across_batch_sizes(size):
+    _assert_same_duals(
+        [_tie_heavy(TIE_KINDS[k % 7], 1 + k % 9, 1 + (5 * k) % 11, k) for k in range(size)]
+    )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmatch import pointfile
 from pointmatch.cli import main
 from pointmatch.pointfile import read_point_file, write_point_file
 
@@ -205,6 +206,29 @@ class TestMatch:
             "tau": 0.05, "beta": 1, "lambda_bg": 0.5, "lambda_fg": 10.0,
             "lambda_reg": 2e-3, "lambda_one2many": 0.5,
         }
+
+    def test_confidence_width_ignores_largest_class_id(self, tmp_path, capsys, monkeypatch):
+        widths = []
+        group = pointfile.group_predicted
+        monkeypatch.setattr(
+            pointfile, "group_predicted",
+            lambda table, num_classes: widths.append(num_classes) or group(table, num_classes),
+        )
+        reports = []
+        for big in (2, 10**12):
+            gt = tmp_path / f"gt{big}.csv"
+            gt.write_text(f"image_id,x,y,class_id\nim,10,10,{big}\nim,30,30,1\n")
+            pred = tmp_path / f"pred{big}.csv"
+            pred.write_text(
+                "image_id,x,y,class_id,confidence\n"
+                f"im,11,10,{big},0.9\nim,29,30,1,0.8\nim,50,50,{big},0.3\nim,9,9,1,0.2\n"
+            )
+            code, out, _ = run(capsys, "match", str(gt), str(pred), "--beta", "2",
+                               "--format", "table")
+            assert code == 0
+            reports.append([line for line in out.splitlines() if not line.startswith("#")])
+        assert widths == [2, 2]
+        assert reports[0] == reports[1]
 
     def test_more_gts_than_preds_exits_3(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from pointmatch import evaluation
 from pointmatch.assignment import brute_force_max_matching
 from pointmatch.evaluation import (
     Aggregate,
@@ -241,6 +242,64 @@ class TestCompareProtocols:
             greedy = by_protocol[Protocol.GREEDY].macro_delta_pct
             assert raw <= 1e-12
             assert greedy >= -1e-12
+
+
+class TestRawHungarianBatches:
+    """Raw-Hungarian cells are solved in batches of RAW_HUNGARIAN_BATCH; the
+    counts must be those of solving each (image, class) cell on its own."""
+
+    def _dataset(self):
+        rng = random.Random(64)
+        gt_by_image, pred_by_image = {}, {}
+        for k in range(80):
+            # every fifth image lacks class 2 on one side or both, and some
+            # images exist on one side only
+            gts = random_points(rng, rng.randint(0, 9), num_classes=2, extent=25)
+            preds = random_points(rng, rng.randint(0, 9), num_classes=2, extent=25)
+            if k % 5 == 0:
+                gts = [p for p in gts if p.class_id == 1]
+            if k % 10 == 0:
+                preds = [p for p in preds if p.class_id == 1]
+            if k % 13 != 1:
+                gt_by_image[f"im{k:02d}"] = gts
+            if k % 17 != 2:
+                pred_by_image[f"im{k:02d}"] = preds
+        return gt_by_image, pred_by_image
+
+    def test_counts_equal_per_cell_solves(self, monkeypatch):
+        gt_by_image, pred_by_image = self._dataset()
+        images = sorted(set(gt_by_image) | set(pred_by_image))
+        sizes = []
+        batched = evaluation.solve_min_cost_batch
+        monkeypatch.setattr(
+            evaluation, "solve_min_cost_batch",
+            lambda costs: sizes.append(len(costs)) or batched(costs),
+        )
+        per_image = evaluation._evaluate(
+            gt_by_image, pred_by_image, 6.0, (1, 2), tuple(Protocol)
+        )
+        rows = compare_protocols(gt_by_image, pred_by_image, 6.0, (1, 2))
+        report = evaluate_dataset(
+            gt_by_image, pred_by_image,
+            EvalConfig(radius=6.0, protocol=Protocol.RAW_HUNGARIAN, class_ids=(1, 2)),
+        )
+        assert len(images) == 79
+        assert sizes == 3 * [64, 64, 2 * len(images) - 128]
+        monkeypatch.undo()
+
+        totals = {cls: ClassCounts(cls) for cls in (1, 2)}
+        for image_id, counts in zip(images, per_image, strict=True):
+            for cls in (1, 2):
+                # one class per call: a single matrix, solved on its own
+                alone = match_raw_hungarian(
+                    gt_by_image.get(image_id, []), pred_by_image.get(image_id, []),
+                    6.0, (cls,),
+                )[cls]
+                assert counts[Protocol.RAW_HUNGARIAN, cls] == alone
+                totals[cls] += alone
+        assert [c for c, _ in report.per_class] == [totals[1], totals[2]]
+        raw = next(r for r in rows if r.protocol is Protocol.RAW_HUNGARIAN)
+        assert raw.per_class_f1 == tuple((c.class_id, f1) for c, f1 in report.per_class)
 
 
 def test_config_validation():
