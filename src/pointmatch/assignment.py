@@ -43,10 +43,10 @@ def _shortest_augmenting_path(a: np.ndarray):
     in order, its first cheapest column along a tight edge if that column is
     still free. Each row left over then runs Dijkstra over reduced costs to
     the nearest free column, so no dummy rows are built and the work is
-    O(n^2 m). Returns (col4row, u, v) where row i is assigned column
-    col4row[i], and the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to
-    float error) with equality on assigned pairs, v <= 0, and v[j] < 0 only
-    for assigned columns.
+    O(n^2 m). Returns (col4row, u, v, unique) where row i is assigned column
+    col4row[i], the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to float
+    error) with equality on assigned pairs, v <= 0, and v[j] < 0 only for
+    assigned columns, and ``unique`` is ``_unique_optimum``'s flag.
     """
     n, m = a.shape
     u = a.min(axis=1)
@@ -97,7 +97,9 @@ def _shortest_augmenting_path(a: np.ndarray):
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return np.array(col4row, dtype=np.int64), u, v
+    col4row = np.array(col4row, dtype=np.int64)
+    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
+    return col4row, u, v, bool(unique)
 
 
 def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
@@ -111,7 +113,7 @@ def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
     and starts its problem's next free row; a problem with none left is
     dropped from those arrays. Every element goes through the serial loop's
     arithmetic in the same order and ties break the same way, so each
-    problem's (col4row, u, v) is bit-identical to the serial loop's.
+    problem's (col4row, u, v, unique) is bit-identical to the serial loop's.
     """
     shapes = [a.shape for a in mats]
     n_of = np.array([n for n, _ in shapes])
@@ -119,13 +121,14 @@ def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
     a_all = np.full((b_all, n_max, m_max), np.inf)
     for b, a in enumerate(mats):
         a_all[b, : a.shape[0], : a.shape[1]] = a
-    u_all = a_all.min(axis=2)
+    real = np.arange(n_max) < n_of[:, None]
+    # a padded row is never searched; u = 0 keeps its reduced costs +inf
+    u_all = np.where(real, a_all.min(axis=2), 0.0)
     v_all = np.zeros((b_all, m_max))
     c4r_all = np.full((b_all, n_max), -1, dtype=np.int64)
     r4c_all = np.full((b_all, m_max), -1, dtype=np.int64)
     # row reduction: the first row of a problem whose minimum is column j
     # takes it
-    real = np.arange(n_max) < n_of[:, None]
     pb, pr = np.nonzero(real)
     pc = a_all.argmin(axis=2)[pb, pr]
     _, first = np.unique(pb * m_max + pc, return_index=True)
@@ -212,13 +215,59 @@ def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
             pid, cur, row, lowest = pid[keep], cur[keep], row[keep], lowest[keep]
             cand, todo, pred, dist = cand[keep], todo[keep], pred[keep], dist[keep]
             u, v, c4r, r4c, free = u[keep], v[keep], c4r[keep], r4c[keep], free[keep]
-    return [(c4r_all[b, :n], u_all[b, :n], v_all[b, :m]) for b, (n, m) in enumerate(shapes)]
+    # a_all is not needed any more: the flag overwrites it
+    unique = _unique_optimum(a_all, u_all, v_all, c4r_all).tolist()
+    return [
+        (c4r_all[b, :n], u_all[b, :n], v_all[b, :m], unique[b])
+        for b, (n, m) in enumerate(shapes)
+    ]
 
 
-def _adjacency(mask: np.ndarray) -> list[list[int]]:
-    """Ascending column lists of the True cells of each row of ``mask``."""
-    rows, cols = np.nonzero(mask)
-    bounds = np.searchsorted(rows, np.arange(mask.shape[0] + 1)).tolist()
+def _unique_optimum(a, u, v, col4row) -> np.ndarray:
+    """Per problem of a (B, N, M) block of solved matrices (each n <= m,
+    padded with +inf), whether its admissible graph (reduced cost within
+    TIE_TOL of 0) admits no optimum other than ``col4row``. ``a`` is
+    overwritten with the reduced costs.
+
+    Another optimum exists exactly when the graph has an alternating cycle:
+    in the digraph with an arc i -> owner(c) for each admissible non-matching
+    edge (i, c), a directed cycle. The m - n zero-cost dummy rows that square
+    the problem are interchangeable, so they are one node per problem that
+    owns every unassigned column and has an arc to the owner of every
+    assigned column of zero dual. Arcs whose tail has no in-arc or whose head
+    has no out-arc lie on no cycle; they are dropped until none is left, and
+    a problem is flagged when no arc of it remains.
+    """
+    b_all, n_max, m_max = a.shape
+    a -= u[:, :, None]
+    a -= v[:, None, :]
+    arc = a <= TIE_TOL
+    pb, pi = np.nonzero(col4row >= 0)
+    pc = col4row[pb, pi]
+    arc[pb, pi, pc] = False
+    # node b * (N + 1) + i is row i of problem b, node b * (N + 1) + N its
+    # dummy rows
+    base = np.arange(0, b_all * (n_max + 1), n_max + 1)
+    owner = np.repeat(base + n_max, m_max).reshape(b_all, m_max)
+    owner[pb, pc] = base[pb] + pi
+    eb, ei, ec = np.nonzero(arc)
+    db, dc = np.nonzero((owner != (base + n_max)[:, None]) & (v >= -TIE_TOL))
+    tail = np.concatenate([base[eb] + ei, base[db] + n_max])
+    head = np.concatenate([owner[eb, ec], owner[db, dc]])
+    nodes = b_all * (n_max + 1)
+    while tail.size:
+        keep = np.bincount(head, minlength=nodes)[tail] > 0
+        keep &= np.bincount(tail, minlength=nodes)[head] > 0
+        if keep.all():
+            break
+        tail, head = tail[keep], head[keep]
+    return np.bincount(tail // (n_max + 1), minlength=b_all) == 0
+
+
+def _adjacency(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:
+    """Column lists of rows ``0 .. n_rows - 1`` of the edges (rows, cols),
+    which are sorted by row, then column."""
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
     flat = cols.tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -351,20 +400,25 @@ def _lex_refine(adj, n_rows, n_cols, match_row, match_col, n_lex=None, shared=()
     return pairs
 
 
-def _min_cost_pairs(costs: CostMatrix, col4row, u, v) -> Assignment:
+def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
     """The lexicographically smallest optimal assignment of ``costs``, from
     the solution and duals the shortest augmenting path found for it (for
-    its transpose when it has more rows than columns)."""
+    its transpose when it has more rows than columns). When ``unique`` (no
+    other optimum exists) that is the solution itself."""
     n_rows, n_cols = costs.rows, costs.cols
-    a = costs.values
-    n = max(n_rows, n_cols)
     transposed = n_rows > n_cols
+    pairs = [(j, i) if transposed else (i, j) for i, j in enumerate(col4row.tolist())]
+    if unique:
+        return _finish(pairs, n_rows, n_cols)
+    # the reduced costs as _unique_optimum computes them, so both see the
+    # same admissible edges
+    tight = (costs.values.T if transposed else costs.values) - u[:, None] - v[None, :] <= TIE_TOL
     if transposed:
-        u, v = v, u
+        tight, u, v = tight.T, v, u
+    n = max(n_rows, n_cols)
     match_row = [-1] * n
     match_col = [-1] * n
-    for i, j in enumerate(col4row.tolist()):
-        r, c = (j, i) if transposed else (i, j)
+    for r, c in pairs:
         match_row[r] = c
         match_col[c] = r
     # Padded to n x n with zero-cost dummy rows (N < M) or columns (N > M)
@@ -375,12 +429,11 @@ def _min_cost_pairs(costs: CostMatrix, col4row, u, v) -> Assignment:
     # reach one shared list of dummy columns: no dummy edges are built. A
     # line of negative dual thus stays matched to a real one, as optimality
     # requires. The refinement stops after the last real row.
-    adj = _adjacency(a - u[:, None] - v[None, :] <= TIE_TOL)
+    adj = _adjacency(*np.nonzero(tight), n)
     if transposed:
         shared = list(range(n_cols, n))
         joins = set(np.flatnonzero(u >= -TIE_TOL).tolist())
     else:
-        adj += [[]] * (n - n_rows)
         shared = np.flatnonzero(v >= -TIE_TOL).tolist()
         joins = range(n_rows, n)
     free_rows = [r for r in range(n) if match_row[r] == -1]
@@ -397,15 +450,16 @@ def solve_min_cost_batch(costs: Sequence[CostMatrix]) -> list[Assignment]:
 
     One non-empty matrix runs the serial shortest augmenting path; several
     run it in lockstep, one numpy round per Dijkstra step of all of them.
-    Both give the same duals, so the choice never changes a pair list.
+    Both give the same duals, so the choice never changes a pair list. Only
+    the matrices with another optimum run the lexicographic refinement.
     """
     oriented = [c.values.T if c.rows > c.cols else c.values for c in costs if c.rows and c.cols]
     if len(oriented) > 1:
-        duals = iter(_lockstep_sap(oriented))
+        solved = iter(_lockstep_sap(oriented))
     else:
-        duals = map(_shortest_augmenting_path, oriented)
+        solved = map(_shortest_augmenting_path, oriented)
     return [
-        _min_cost_pairs(c, *next(duals)) if c.rows and c.cols else _finish([], c.rows, c.cols)
+        _min_cost_pairs(c, *next(solved)) if c.rows and c.cols else _finish([], c.rows, c.cols)
         for c in costs
     ]
 
@@ -419,13 +473,34 @@ def solve_min_cost(costs: CostMatrix) -> Assignment:
     return solve_min_cost_batch([costs])[0]
 
 
+def max_matching_edges(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographically smallest maximum matching of the bipartite graph
+    with edges (rows[k], cols[k]), sorted by row, then column; returned as
+    the (rows, cols) of its pairs, in no particular order.
+
+    An edge whose row and column both have degree 1 is a component of its
+    own and is matched as it is. Kuhn and the lexicographic refinement run
+    on the other edges only, with their rows and columns renumbered in
+    order. The lexicographically smallest maximum matching is that of each
+    component, so the pairs are those of the whole graph.
+    """
+    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    row_ids, r = np.unique(rows[~alone], return_inverse=True)
+    col_ids, c = np.unique(cols[~alone], return_inverse=True)
+    adj = _adjacency(r, c, len(row_ids))
+    match_row, match_col = _kuhn(adj, len(row_ids), len(col_ids))
+    pairs = _lex_refine(adj, len(row_ids), len(col_ids), match_row, match_col)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return (
+        np.concatenate([rows[alone], row_ids[pairs[:, 0]]]),
+        np.concatenate([cols[alone], col_ids[pairs[:, 1]]]),
+    )
+
+
 def solve_max_matching(adjacency: BoolMatrix) -> Assignment:
     """Maximum-cardinality matching with the standard lexicographic tie-break."""
-    n_rows, n_cols = adjacency.rows, adjacency.cols
-    adj = _adjacency(adjacency.values)
-    match_row, match_col = _kuhn(adj, n_rows, n_cols)
-    pairs = _lex_refine(adj, n_rows, n_cols, match_row, match_col)
-    return _finish(pairs, n_rows, n_cols)
+    rows, cols = max_matching_edges(*np.nonzero(adjacency.values))
+    return _finish(zip(rows.tolist(), cols.tolist()), adjacency.rows, adjacency.cols)
 
 
 def brute_force_min_cost(costs: CostMatrix) -> Assignment:

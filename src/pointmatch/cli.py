@@ -163,8 +163,8 @@ def cmd_evaluate(args) -> int:
     aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
     if aggregate is None:
         raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
-    if args.radius <= 0:
-        raise ConfigError("radius must be positive")
+    if not 0 < args.radius < math.inf:
+        raise ConfigError("radius must be positive and finite")
 
     gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     config = EvalConfig(
@@ -207,8 +207,8 @@ def cmd_compare(args) -> int:
     aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
     if aggregate is None:
         raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
-    if args.radius <= 0:
-        raise ConfigError("radius must be positive")
+    if not 0 < args.radius < math.inf:
+        raise ConfigError("radius must be positive and finite")
 
     gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     rows = evaluation.compare_protocols(
@@ -250,8 +250,8 @@ def cmd_compare(args) -> int:
 def cmd_match(args) -> int:
     if args.beta < 1:
         raise ConfigError("beta must be >= 1")
-    if args.tau <= 0:
-        raise ConfigError("tau must be positive")
+    if not 0 < args.tau < math.inf:
+        raise ConfigError("tau must be positive and finite")
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
     classes = np.concatenate([gt_table.cls, pred_table.cls])

@@ -6,26 +6,28 @@ Matching is computed independently per class: a prediction can only ever
 match a ground truth of the same class. Images are ``PointSet`` columns; each
 image is split by class once, and each (image, class) distance matrix is
 built once and shared by every protocol scored, all three under
-``compare_protocols``. The raw-Hungarian min-cost solves of successive
-(image, class) cells are gathered into batches of at most
-``RAW_HUNGARIAN_BATCH`` and each batch is solved by one call.
+``compare_protocols``. Successive (image, class) cells are gathered into
+batches of at most ``CELL_BATCH`` and each batch is scored at once: one
+min-cost call for its raw-Hungarian solves, and one maximum matching over
+the union of its radius graphs for the matched protocol.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import solve_max_matching, solve_min_cost_batch
-from .types import BoolMatrix, CostMatrix, Points, PointSet, as_point_set, distance_matrix
+from .assignment import max_matching_edges, solve_min_cost_batch
+from .types import CostMatrix, Points, PointSet, as_point_set, distance_matrix
 
 
-# raw-Hungarian cells solved per batched call; bounds the distance matrices
-# held at once
-RAW_HUNGARIAN_BATCH = 64
+# (image, class) cells scored per batch; bounds the distance matrices and
+# radius graphs held at once
+CELL_BATCH = 64
 
 
 class Protocol(str, enum.Enum):
@@ -47,8 +49,8 @@ class EvalConfig:
     aggregate: Aggregate = Aggregate.DATASET_COUNTS
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not self.class_ids or len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("class_ids must be non-empty and unique")
 
@@ -87,47 +89,63 @@ def f1_from_counts(counts: ClassCounts) -> float:
     return counts.tp / denom
 
 
-def _class_counts(
-    protocol: Protocol, class_id: int, dist: np.ndarray, radius: float
-) -> ClassCounts:
-    """TP/FP/FN of one (image, class) under the matched or the greedy
-    protocol, from its N x M ground-truth-to-prediction distance matrix."""
-    n, m = dist.shape
-    within = dist <= radius
-    if protocol is Protocol.MATCHED:
-        tp = solve_max_matching(BoolMatrix(within)).size
-        fn = n - tp
-    else:
-        tp = int(within.any(axis=0).sum())
-        fn = n - int(within.any(axis=1).sum())
-    return ClassCounts(class_id=class_id, tp=tp, fp=m - tp, fn=fn)
-
-
-class _RawHungarianBatch:
-    """Raw-Hungarian cells waiting for one batched min-cost solve.
+class _CellBatch:
+    """(image, class) cells waiting to be scored under ``protocols``.
 
     ``add`` records where a cell's counts go; they are written when the
-    batch is solved, on the ``RAW_HUNGARIAN_BATCH``-th cell or at ``flush``.
+    batch is scored, on the ``CELL_BATCH``-th cell or at ``flush``. A cell
+    keeps its distance matrix only for raw Hungarian, and its edges within
+    the radius only for matched and greedy.
     """
 
-    def __init__(self, radius: float):
+    def __init__(self, radius: float, protocols: Sequence[Protocol]):
         self.radius = radius
-        self.cells = []  # (counts dict, class id, distance matrix)
+        self.protocols = protocols
+        self.raw = Protocol.RAW_HUNGARIAN in protocols
+        self.edges = Protocol.MATCHED in protocols or Protocol.GREEDY in protocols
+        # (counts dict, class id, shape, distance matrix, edge rows, edge cols)
+        self.cells = []
 
     def add(self, out: dict, class_id: int, dist: np.ndarray):
-        out[Protocol.RAW_HUNGARIAN, class_id] = None  # until the batch is solved
-        self.cells.append((out, class_id, dist))
-        if len(self.cells) == RAW_HUNGARIAN_BATCH:
+        for protocol in self.protocols:
+            out[protocol, class_id] = None  # until the batch is scored
+        edges = np.nonzero(dist <= self.radius) if self.edges else (None, None)
+        self.cells.append((out, class_id, dist.shape, dist if self.raw else None, *edges))
+        if len(self.cells) == CELL_BATCH:
             self.flush()
 
     def flush(self):
-        solved = solve_min_cost_batch([CostMatrix(dist) for _, _, dist in self.cells])
-        for (out, cls, dist), assignment in zip(self.cells, solved):
-            n, m = dist.shape
-            tp = sum(1 for r, c in assignment.pairs if dist[r, c] <= self.radius)
-            out[Protocol.RAW_HUNGARIAN, cls] = ClassCounts(
-                class_id=cls, tp=tp, fp=m - tp, fn=n - tp
-            )
+        if not self.cells:
+            return
+        outs, classes, shapes, dists, rows, cols = zip(*self.cells)
+        n, m = np.array(shapes, dtype=np.int64).T
+        k = len(n)
+        tp, fn = {}, {}
+        if self.raw:
+            hits = []
+            for d, solved in zip(dists, solve_min_cost_batch([CostMatrix(d) for d in dists])):
+                pairs = np.array(solved.pairs, dtype=np.int64).reshape(-1, 2)
+                hits.append(np.count_nonzero(d[pairs[:, 0], pairs[:, 1]] <= self.radius))
+            tp[Protocol.RAW_HUNGARIAN] = np.array(hits)
+        if self.edges:
+            # the cells' radius graphs as one block-diagonal graph
+            cell_of_row = np.repeat(np.arange(k), n)
+            cell_of_col = np.repeat(np.arange(k), m)
+            rows = np.concatenate([r + o for r, o in zip(rows, np.cumsum(n) - n)])
+            cols = np.concatenate([c + o for c, o in zip(cols, np.cumsum(m) - m)])
+            if Protocol.MATCHED in self.protocols:
+                matched, _ = max_matching_edges(rows, cols)
+                tp[Protocol.MATCHED] = np.bincount(cell_of_row[matched], minlength=k)
+            if Protocol.GREEDY in self.protocols:
+                # every prediction with an edge is a hit, every ground truth
+                # without one a miss
+                tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(cols)], minlength=k)
+                fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(rows)], minlength=k)
+        for protocol, hits in tp.items():
+            misses = fn.get(protocol, n - hits)
+            for out, cls, hit, miss, preds in zip(outs, classes, hits.tolist(), misses.tolist(),
+                                                  m.tolist()):
+                out[protocol, cls] = ClassCounts(class_id=cls, tp=hit, fp=preds - hit, fn=miss)
         self.cells.clear()
 
 
@@ -137,23 +155,19 @@ def evaluate_image(
     radius: float,
     class_ids: Sequence[int],
     protocols: Sequence[Protocol],
-    batch: _RawHungarianBatch | None = None,
+    batch: _CellBatch | None = None,
 ) -> dict[tuple[Protocol, int], ClassCounts]:
     """Counts of one image per (protocol, class). Each class's distance
-    matrix is built once and scored under every protocol. Raw-Hungarian
-    cells go to ``batch`` when one is given, and their counts are filled in
-    when it is solved; otherwise they are solved before returning."""
+    matrix is built once and scored under every protocol. The cells go to
+    ``batch`` (made for the same radius and protocols) when one is given,
+    and their counts are filled in when it is scored; otherwise they are
+    scored before returning."""
     own = batch is None
     if own:
-        batch = _RawHungarianBatch(radius)
+        batch = _CellBatch(radius, protocols)
     out = {}
     for cls in class_ids:
-        dist = distance_matrix(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls])
-        for protocol in protocols:
-            if protocol is Protocol.RAW_HUNGARIAN:
-                batch.add(out, cls, dist)
-            else:
-                out[protocol, cls] = _class_counts(protocol, cls, dist, radius)
+        batch.add(out, cls, distance_matrix(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]))
     if own:
         batch.flush()
     return out
@@ -204,7 +218,7 @@ def match_greedy(
 def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> list[dict]:
     """Per-image counts over the union of image ids, in sorted order."""
     empty = as_point_set(())
-    batch = _RawHungarianBatch(radius)
+    batch = _CellBatch(radius, protocols)
     per_image = [
         evaluate_image(
             as_point_set(gt_by_image.get(image_id, empty)),

@@ -41,14 +41,14 @@ class MatchConfig:
     one2many_weight: float = DEFAULT_ONE2MANY_WEIGHT
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if len(self.class_weights) < 2 or any(w <= 0 for w in self.class_weights):
-            raise ValueError("class_weights must cover background plus classes, all > 0")
-        if self.reg_weight < 0 or self.one2many_weight < 0:
-            raise ValueError("loss weights must be non-negative")
+        if len(self.class_weights) < 2 or not all(0 < w < math.inf for w in self.class_weights):
+            raise ValueError("class_weights must cover background plus classes, all finite > 0")
+        if not (0 <= self.reg_weight < math.inf and 0 <= self.one2many_weight < math.inf):
+            raise ValueError("loss weights must be non-negative and finite")
 
 
 @dataclass(frozen=True)

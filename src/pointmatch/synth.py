@@ -8,6 +8,7 @@ independent of call order between purposes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ class PerturbationModel:
     def __post_init__(self):
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
-        if self.spurious_rate < 0 or self.density < 0 or self.jitter_sigma < 0:
-            raise ValueError("rates and sigma must be non-negative")
-        if self.extent[0] <= 0 or self.extent[1] <= 0:
-            raise ValueError("extent must be positive")
+        if not all(0 <= x < math.inf for x in (self.spurious_rate, self.density,
+                                                 self.jitter_sigma)):
+            raise ValueError("rates and sigma must be non-negative and finite")
+        if not all(0 < x < math.inf for x in self.extent):
+            raise ValueError("extent must be positive and finite")
         if not self.class_ids:
             raise ValueError("at least one class id required")
         confusion = self.confusion

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
     _lockstep_sap,
+    _min_cost_pairs,
     _shortest_augmenting_path,
     brute_force_max_matching,
     brute_force_min_cost,
+    max_matching_edges,
     solve_max_matching,
     solve_min_cost,
 )
@@ -57,6 +59,12 @@ class TestSolveMinCost:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CostMatrix([[1, float("inf")]])
+
+    def test_tie_within_tolerance_is_refined(self):
+        # 0.1 + 0.2 exceeds 0.3 + 0.0 by one rounding error: both are optimal
+        # within 1e-9, so the smaller pair list wins over the solver's own
+        for values in ([[0.1, 0.3], [0.0, 0.2]], [[0.1, 0.3, 1.0], [0.0, 0.2, 1.0]]):
+            assert solve_min_cost(CostMatrix(values)).pairs == ((0, 0), (1, 1))
 
 
 class TestBruteForceMinCost:
@@ -256,10 +264,12 @@ def test_row_reduction_assigns_every_free_minimum():
     # each row's first cheapest column differs, so no row needs a search:
     # the duals stay at the row minima and zero
     a = np.array([[2.0, 0.5, 3.0, 1.0], [0.0, 4.0, 0.0, 2.0], [5.0, 6.0, 7.0, 4.5]])
-    col4row, u, v = _shortest_augmenting_path(a)
+    col4row, u, v, unique = _shortest_augmenting_path(a)
     assert col4row.tolist() == [1, 0, 3]
     assert u.tolist() == [0.5, 0.0, 4.5]
     assert not v.any()
+    # row 1 could take column 2 at the same cost
+    assert not unique
     assert solve_min_cost(CostMatrix(a)).pairs == ((0, 1), (1, 0), (2, 3))
 
 
@@ -267,7 +277,8 @@ def test_rows_colliding_on_one_minimum():
     # column 0 is cheapest for every row: row 0 keeps it from the reduction
     # and the other rows are left to the shortest-path search
     a = np.array([[0.0, 5.0, 6.0, 3.0], [0.0, 7.0, 1.0, 4.0], [0.0, 2.0, 9.0, 8.0]])
-    col4row, u, v = _shortest_augmenting_path(a)
+    col4row, u, v, unique = _shortest_augmenting_path(a)
+    assert unique
     # the duals the refinement relies on: feasible, tight on the assignment,
     # and negative only on assigned columns
     reduced = a - u[:, None] - v[None, :]
@@ -363,6 +374,7 @@ tie_heavy_batches = st.lists(
 
 
 def _assert_same_duals(mats):
+    # (col4row, u, v, unique) of each matrix
     for a, lockstep in zip(mats, _lockstep_sap(mats), strict=True):
         for serial, batched in zip(_shortest_augmenting_path(a), lockstep, strict=True):
             assert np.array_equal(serial, batched)
@@ -379,3 +391,64 @@ def test_lockstep_duals_equal_serial_across_batch_sizes(size):
     _assert_same_duals(
         [_tie_heavy(TIE_KINDS[k % 7], 1 + k % 9, 1 + (5 * k) % 11, k) for k in range(size)]
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tie_heavy_batches)
+def test_flagged_optimum_needs_no_refinement(mats):
+    # when no other optimum exists, the refinement returns the solver's own
+    # pairs, for the matrix and, if it has fewer rows than columns, for its
+    # transpose (which the solver solves as the matrix)
+    for a, (col4row, u, v, unique) in zip(mats, _lockstep_sap(mats), strict=True):
+        if unique:
+            for cm in (CostMatrix(a), CostMatrix(a.T))[: 1 + (a.shape[0] < a.shape[1])]:
+                assert _min_cost_pairs(cm, col4row, u, v, False) == _min_cost_pairs(
+                    cm, col4row, u, v, True
+                )
+
+
+@pytest.mark.parametrize("values", [
+    [[0.0, 0.0], [0.0, 0.0]],
+    # beta = 2 replicas of one ground truth: swapping them costs nothing
+    [[1.0, 2.0, 5.0], [1.0, 2.0, 5.0]],
+    # the dummy row could take column 0 as well as column 1
+    [[0.0, 0.0]],
+])
+def test_tie_is_not_flagged(values):
+    a = np.array(values)
+    for solved in (_shortest_augmenting_path(a), _lockstep_sap([a, a])[0]):
+        assert solved[3] is False
+
+
+def _sparse_cell(rows, cols, density, seed):
+    return np.random.default_rng(seed).random((rows, cols)) < density
+
+
+# cells of up to 6 x 6 with sparse to dense edges, some with no rows or
+# columns; sparse cells hold isolated pairs, edgeless rows and shared columns
+edge_cells = st.lists(
+    st.builds(_sparse_cell, st.integers(0, 6), st.integers(0, 6),
+              st.sampled_from([0.1, 0.25, 0.5, 0.9]), st.integers(0, 2**32 - 1)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_cells)
+def test_edge_list_matching_of_block_union_equals_per_cell_oracle(cells):
+    rows, cols = [], []
+    row_at = np.cumsum([0] + [c.shape[0] for c in cells])
+    col_at = np.cumsum([0] + [c.shape[1] for c in cells])
+    for cell, r0, c0 in zip(cells, row_at, col_at):
+        r, c = np.nonzero(cell)
+        rows.append(r + r0)
+        cols.append(c + c0)
+    got_rows, got_cols = max_matching_edges(np.concatenate(rows), np.concatenate(cols))
+    got = sorted(zip(got_rows.tolist(), got_cols.tolist()))
+    want = [
+        (r + int(r0), c + int(c0))
+        for cell, r0, c0 in zip(cells, row_at, col_at)
+        for r, c in brute_force_max_matching(BoolMatrix(cell)).pairs
+    ]
+    assert got == want

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects the NaN, Infinity and -Infinity that
+    ``json.dumps`` writes for non-finite floats (not JSON, RFC 8259)."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def figure3_files(tmp_path):
     gt = str(tmp_path / "gt.csv")
@@ -61,6 +71,13 @@ class TestSynth:
                            "--pred-out", str(tmp_path / "p.csv"))
         assert code == 3
 
+    @pytest.mark.parametrize("option", [["--extent", "nan", "10"], ["--extent", "10", "inf"],
+                                        ["--density", "inf"], ["--jitter", "nan"]])
+    def test_nonfinite_option_exits_3(self, tmp_path, capsys, option):
+        code, _, err = run(capsys, "synth", *option, "--gt-out", str(tmp_path / "gt.csv"),
+                           "--pred-out", str(tmp_path / "pred.csv"))
+        assert code == 3 and "finite" in err
+
     def test_unknown_fixture_exits_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "--fixture", "nope",
                          "--gt-out", str(tmp_path / "g.csv"),
@@ -74,7 +91,7 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", gt, pred, "--radius", "6",
                            "--protocol", "matched", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["macro_f1"] == 0.5
 
     def test_figure3_raw(self, figure3_files, capsys):
@@ -82,7 +99,7 @@ class TestEvaluate:
         code, out, _ = run(capsys, "evaluate", gt, pred, "--radius", "6",
                            "--protocol", "raw-hungarian", "--format", "json")
         assert code == 0
-        assert json.loads(out)["macro_f1"] == 0.0
+        assert strict_loads(out)["macro_f1"] == 0.0
 
     def test_unknown_protocol_exits_3(self, figure3_files, capsys):
         gt, pred = figure3_files
@@ -94,6 +111,22 @@ class TestEvaluate:
         gt, pred = figure3_files
         code, _, _ = run(capsys, "evaluate", gt, pred, "--radius", "-1")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--radius"), ("compare", "--radius"), ("match", "--tau"),
+        ("match", "--lambda-bg"), ("match", "--lambda-fg"), ("match", "--lambda-reg"),
+        ("match", "--lambda-one2many"),
+    ])
+    def test_nonfinite_option_exits_3(self, figure3_files, capsys, command, flag, value):
+        gt, pred = figure3_files
+        code, out, err = run(capsys, command, gt, pred, "--format", "json", f"{flag}={value}")
+        assert code == 3 and out == ""
+        assert "finite" in err
+        # the same command with a finite value writes a valid JSON report
+        code, out, _ = run(capsys, command, gt, pred, "--format", "json", f"{flag}=1")
+        assert code == 0
+        strict_loads(out)
 
     def test_parse_error_exits_2(self, tmp_path, figure3_files, capsys):
         bad = tmp_path / "bad.csv"
@@ -134,7 +167,7 @@ class TestEvaluate:
             code, _, _ = run(capsys, "evaluate", gt, pred, "--format", "json",
                              "--output", path)
             assert code == 0
-            payload = json.loads(open(path).read())
+            payload = strict_loads(open(path).read())
             payload["manifest"].pop("timestamp")
             outputs.append(json.dumps(payload, sort_keys=True))
         assert outputs[0] == outputs[1]
@@ -152,7 +185,7 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", gt, pred, "--radius", "6",
                            "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         rows = {r["protocol"]: r for r in payload["protocols"]}
         assert rows["matched"]["macro_f1"] == 0.5
         assert rows["raw_hungarian"]["macro_delta_pct"] == -100.0
@@ -163,7 +196,7 @@ class TestCompare:
         gt.write_text("image_id,x,y,class_id\nim,5,5,1\nim,40,40,1\n")
         code, out, _ = run(capsys, "compare", str(gt), str(gt), "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert all(r["macro_f1"] == 1.0 for r in payload["protocols"])
 
     def test_synthetic_dataset_ordering(self, tmp_path, capsys):
@@ -173,7 +206,7 @@ class TestCompare:
             "--drop", "0.1", "--spurious", "3", "--gt-out", gt, "--pred-out", pred)
         code, out, _ = run(capsys, "compare", gt, pred, "--format", "json")
         assert code == 0
-        rows = {r["protocol"]: r for r in json.loads(out)["protocols"]}
+        rows = {r["protocol"]: r for r in strict_loads(out)["protocols"]}
         assert rows["raw_hungarian"]["macro_delta_pct"] <= 0.0
         assert rows["greedy"]["macro_delta_pct"] >= 0.0
 
@@ -189,10 +222,10 @@ class TestMatch:
         )
         code, out, _ = run(capsys, "match", str(gt), str(pred), "--beta", "1")
         assert code == 0
-        assert len(json.loads(out)["images"][0]["one_to_many"]["pairs"]) == 1
+        assert len(strict_loads(out)["images"][0]["one_to_many"]["pairs"]) == 1
         code, out, _ = run(capsys, "match", str(gt), str(pred), "--beta", "2")
         assert code == 0
-        assert len(json.loads(out)["images"][0]["one_to_many"]["pairs"]) == 2
+        assert len(strict_loads(out)["images"][0]["one_to_many"]["pairs"]) == 2
 
     def test_defaults_echoed_in_manifest(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -201,7 +234,7 @@ class TestMatch:
         pred.write_text("image_id,x,y,class_id,confidence\nim,11,10,1,0.9\n")
         code, out, _ = run(capsys, "match", str(gt), str(pred))
         assert code == 0
-        config = json.loads(out)["manifest"]["config"]
+        config = strict_loads(out)["manifest"]["config"]
         assert config == {
             "tau": 0.05, "beta": 1, "lambda_bg": 0.5, "lambda_fg": 10.0,
             "lambda_reg": 2e-3, "lambda_one2many": 0.5,
@@ -367,6 +400,8 @@ def test_golden_output(golden_inputs, capsys, name):
     argv = GOLDEN_CASES[name]
     out = golden_run(capsys, golden_inputs, argv)
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    if name.endswith(".json"):
+        strict_loads(out)
     assert golden_run(capsys, golden_inputs, argv, str(golden_inputs / "report.out")) == out
 
 
@@ -407,4 +442,7 @@ def test_fuzzed_prediction_file(fuzz_dir, suffix, edits):
     for command, codes in allowed.items():
         with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main([command, gt, str(pred), "--output", out]) in codes
+            code = main([command, gt, str(pred), "--output", out])
+        assert code in codes
+        if code == 0 and command == "match":  # match writes JSON by default
+            strict_loads(Path(out).read_text(encoding="utf-8"))

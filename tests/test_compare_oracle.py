@@ -73,15 +73,7 @@ def _expected(gt_rows, pred_rows):
     return {p: {c: _f1(*t) for c, t in by_class.items()} for p, by_class in totals.items()}
 
 
-@settings(max_examples=100, deadline=None)
-@given(point_files(), st.sampled_from(["csv", "json"]))
-@example(  # raw_hungarian finds 1 hit in image a, and 2 with each side's rows reversed
-    ([("a", 3.0, 0.0, 1), ("b", 5.0, 5.0, 1), ("a", 1.0, 0.0, 1), ("a", 3.0, 0.0, 1)],
-     [("a", 0.0, 0.0, 1), ("a", 0.0, 1.0, 1), ("b", 5.0, 4.0, 1), ("a", 1.0, 0.0, 1)]),
-    "csv",
-)
-def test_compare_matches_brute_force_oracles(files, fmt):
-    gt_rows, pred_rows = files
+def _compare_report(gt_rows, pred_rows, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         gt, pred, out = (
             os.path.join(tmp, name) for name in (f"gt.{fmt}", f"pred.{fmt}", "out.json")
@@ -91,12 +83,46 @@ def test_compare_matches_brute_force_oracles(files, fmt):
         assert main(["compare", gt, pred, "--radius", str(RADIUS), "--format", "json",
                      "--output", out]) == 0
         with open(out, encoding="utf-8") as f:
-            report = json.load(f)
+            return json.load(f)
+
+
+def _assert_matches_oracles(report, gt_rows, pred_rows):
     expected = _expected(gt_rows, pred_rows)
     for row in report["protocols"]:
         got = {pc["class_id"]: pc["f1"] for pc in row["per_class"]}
         assert got == expected[row["protocol"]]
         assert row["macro_f1"] == sum(got.values()) / len(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_files(), st.sampled_from(["csv", "json"]))
+@example(  # raw_hungarian finds 1 hit in image a, and 2 with each side's rows reversed
+    ([("a", 3.0, 0.0, 1), ("b", 5.0, 5.0, 1), ("a", 1.0, 0.0, 1), ("a", 3.0, 0.0, 1)],
+     [("a", 0.0, 0.0, 1), ("a", 0.0, 1.0, 1), ("b", 5.0, 4.0, 1), ("a", 1.0, 0.0, 1)]),
+    "csv",
+)
+def test_compare_matches_brute_force_oracles(files, fmt):
+    gt_rows, pred_rows = files
+    _assert_matches_oracles(_compare_report(gt_rows, pred_rows, fmt), gt_rows, pred_rows)
+
+
+def test_many_cells_across_batches_match_oracles():
+    # 62 images x 3 classes: the 186 cells span three batches of scoring;
+    # a cell is empty, one-sided or has up to 8 points a side
+    rng = np.random.default_rng(150)
+    gt_rows, pred_rows = [], []
+    for image in range(62):
+        for cls in (1, 2, 3):
+            kind = rng.integers(0, 6)
+            n = 0 if kind in (0, 1) else int(rng.integers(1, 9))
+            m = 0 if kind in (0, 2) else int(rng.integers(1, 9))
+            for rows, count in ((gt_rows, n), (pred_rows, m)):
+                rows += [(f"im{image:02d}", float(rng.integers(0, 9)), float(rng.integers(0, 3)),
+                          cls) for _ in range(count)]
+    assert len({r[0] for r in gt_rows + pred_rows}) == 62
+    gt_rows = [gt_rows[i] for i in rng.permutation(len(gt_rows))]
+    pred_rows = [pred_rows[i] for i in rng.permutation(len(pred_rows))]
+    _assert_matches_oracles(_compare_report(gt_rows, pred_rows, "csv"), gt_rows, pred_rows)
 
 
 @pytest.mark.parametrize("column, value, message", [

@@ -245,7 +245,7 @@ class TestCompareProtocols:
 
 
 class TestRawHungarianBatches:
-    """Raw-Hungarian cells are solved in batches of RAW_HUNGARIAN_BATCH; the
+    """Raw-Hungarian cells are solved in batches of CELL_BATCH; the
     counts must be those of solving each (image, class) cell on its own."""
 
     def _dataset(self):
@@ -303,8 +303,9 @@ class TestRawHungarianBatches:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(radius=0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EvalConfig(radius=radius)
     with pytest.raises(ValueError):
         EvalConfig(class_ids=())
     with pytest.raises(ValueError):

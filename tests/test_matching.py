@@ -292,11 +292,16 @@ class TestCombinedLoss:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MatchConfig(tau=0.0)
+    for tau in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MatchConfig(tau=tau)
     with pytest.raises(ValueError):
         MatchConfig(beta=0)
-    with pytest.raises(ValueError):
-        MatchConfig(class_weights=(0.5,))
-    with pytest.raises(ValueError):
-        MatchConfig(reg_weight=-1.0)
+    for weights in ((0.5,), (math.nan, 10.0), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            MatchConfig(class_weights=weights)
+    for weight in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MatchConfig(reg_weight=weight)
+        with pytest.raises(ValueError):
+            MatchConfig(one2many_weight=weight)

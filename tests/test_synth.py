@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,12 @@ class TestFigure3Fixture:
 def test_model_validation():
     with pytest.raises(ValueError):
         PerturbationModel(drop_rate=1.5)
-    with pytest.raises(ValueError):
-        PerturbationModel(extent=(0.0, 10.0))
+    for extent in ((0.0, 10.0), (math.nan, 10.0), (10.0, math.inf)):
+        with pytest.raises(ValueError):
+            PerturbationModel(extent=extent)
+    for value in (-1.0, math.nan, math.inf):
+        for name in ("spurious_rate", "density", "jitter_sigma"):
+            with pytest.raises(ValueError):
+                PerturbationModel(**{name: value})
     with pytest.raises(ValueError):
         PerturbationModel(class_ids=(1, 2), confusion=((0.5, 0.4), (0.5, 0.5)))
