@@ -7,13 +7,7 @@ flawed protocols it supersedes."""
 __version__ = "0.1.0"
 
 from .anchors import AnchorSet, GridSpec, apply_offsets, make_grid, threshold_predictions
-from .assignment import (
-    brute_force_max_matching,
-    brute_force_min_cost,
-    solve_max_matching,
-    solve_min_cost,
-    solve_min_cost_batch,
-)
+from .assignment import solve_max_matching, solve_min_cost, solve_min_cost_batch
 from .evaluation import (
     Aggregate,
     ClassCounts,
@@ -60,8 +54,6 @@ __all__ = [
     "PredictedPoint",
     "Protocol",
     "apply_offsets",
-    "brute_force_max_matching",
-    "brute_force_min_cost",
     "build_cost_matrix",
     "classification_loss",
     "combined_loss",

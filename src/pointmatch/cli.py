@@ -107,6 +107,13 @@ def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
 
 
 def _load_eval_inputs(args):
+    """The checked ``--aggregate`` and ``--radius`` of ``evaluate`` and
+    ``compare``, then their inputs: points by image, class ids and names."""
+    aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
+    if aggregate is None:
+        raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
+    if not 0 < args.radius < math.inf:
+        raise ConfigError("radius must be positive and finite")
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
     gt_by_image = pointfile.group_labeled(gt_table)
@@ -121,7 +128,8 @@ def _load_eval_inputs(args):
             raise PointFileError(
                 f"unknown class_id(s) in input files: {sorted(unknown)}"
             )
-    return gt_by_image, pred_by_image, class_ids, {c: names.get(c, str(c)) for c in class_ids}
+    names = {c: names.get(c, str(c)) for c in class_ids}
+    return aggregate, gt_by_image, pred_by_image, class_ids, names
 
 
 def _fmt_float(v: float) -> str:
@@ -160,13 +168,7 @@ def cmd_evaluate(args) -> int:
     protocol = _PROTOCOL_FLAGS.get(args.protocol)
     if protocol is None:
         raise ConfigError(f"unknown protocol: {args.protocol}")
-    aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
-    if aggregate is None:
-        raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
-    if not 0 < args.radius < math.inf:
-        raise ConfigError("radius must be positive and finite")
-
-    gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
+    aggregate, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     config = EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
@@ -204,13 +206,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
-    if aggregate is None:
-        raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
-    if not 0 < args.radius < math.inf:
-        raise ConfigError("radius must be positive and finite")
-
-    gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
+    aggregate, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     rows = evaluation.compare_protocols(
         gt_by_image, pred_by_image, args.radius, class_ids, aggregate
     )
@@ -256,7 +252,7 @@ def cmd_match(args) -> int:
     pred_table = pointfile.read_point_file(args.pred)
     classes = np.concatenate([gt_table.cls, pred_table.cls])
     if pred_table.confidences is not None:
-        num_classes = max(pred_table.confidences.shape[1] - 1, int(classes.max()))
+        num_classes = max(pred_table.confidences.shape[1] - 1, int(classes.max(initial=0)))
     else:
         # no confidence vectors: only the classes that occur need a column,
         # and all foreground weights are equal, so numbering them 1..K

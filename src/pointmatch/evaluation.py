@@ -3,13 +3,13 @@ and the two flawed protocols it supersedes (raw-distance Hungarian and
 greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
-match a ground truth of the same class. Images are ``PointSet`` columns; each
-image is split by class once, and each (image, class) distance matrix is
-built once and shared by every protocol scored, all three under
-``compare_protocols``. Successive (image, class) cells are gathered into
-batches of at most ``CELL_BATCH`` and each batch is scored at once: one
-min-cost call for its raw-Hungarian solves, and one maximum matching over
-the union of its radius graphs for the matched protocol.
+match a ground truth of the same class. Images are ``PointSet`` columns, and
+each (image, class) cell's distance matrix is built once and shared by every
+protocol scored, all three under ``compare_protocols``. The cells stream, in
+sorted-image then class order, through ``score_cells`` in chunks of at most
+``CELL_BATCH``: one min-cost call for a chunk's raw-Hungarian solves, and one
+maximum matching over the union of its radius graphs for the matched
+protocol. Counts come back as arrays of TP, FP and FN.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .assignment import max_matching_edges, solve_min_cost_batch
-from .types import CostMatrix, Points, PointSet, as_point_set, distance_matrix
+from .types import CostMatrix, Points, as_point_set, distance_matrix
 
 
 # (image, class) cells scored per batch; bounds the distance matrices and
@@ -89,96 +90,84 @@ def f1_from_counts(counts: ClassCounts) -> float:
     return counts.tp / denom
 
 
-class _CellBatch:
-    """(image, class) cells waiting to be scored under ``protocols``.
-
-    ``add`` records where a cell's counts go; they are written when the
-    batch is scored, on the ``CELL_BATCH``-th cell or at ``flush``. A cell
-    keeps its distance matrix only for raw Hungarian, and its edges within
-    the radius only for matched and greedy.
-    """
-
-    def __init__(self, radius: float, protocols: Sequence[Protocol]):
-        self.radius = radius
-        self.protocols = protocols
-        self.raw = Protocol.RAW_HUNGARIAN in protocols
-        self.edges = Protocol.MATCHED in protocols or Protocol.GREEDY in protocols
-        # (counts dict, class id, shape, distance matrix, edge rows, edge cols)
-        self.cells = []
-
-    def add(self, out: dict, class_id: int, dist: np.ndarray):
-        for protocol in self.protocols:
-            out[protocol, class_id] = None  # until the batch is scored
-        edges = np.nonzero(dist <= self.radius) if self.edges else (None, None)
-        self.cells.append((out, class_id, dist.shape, dist if self.raw else None, *edges))
-        if len(self.cells) == CELL_BATCH:
-            self.flush()
-
-    def flush(self):
-        if not self.cells:
-            return
-        outs, classes, shapes, dists, rows, cols = zip(*self.cells)
-        n, m = np.array(shapes, dtype=np.int64).T
-        k = len(n)
-        tp, fn = {}, {}
-        if self.raw:
-            hits = []
-            for d, solved in zip(dists, solve_min_cost_batch([CostMatrix(d) for d in dists])):
-                pairs = np.array(solved.pairs, dtype=np.int64).reshape(-1, 2)
-                hits.append(np.count_nonzero(d[pairs[:, 0], pairs[:, 1]] <= self.radius))
-            tp[Protocol.RAW_HUNGARIAN] = np.array(hits)
-        if self.edges:
-            # the cells' radius graphs as one block-diagonal graph
-            cell_of_row = np.repeat(np.arange(k), n)
-            cell_of_col = np.repeat(np.arange(k), m)
-            rows = np.concatenate([r + o for r, o in zip(rows, np.cumsum(n) - n)])
-            cols = np.concatenate([c + o for c, o in zip(cols, np.cumsum(m) - m)])
-            if Protocol.MATCHED in self.protocols:
-                matched, _ = max_matching_edges(rows, cols)
-                tp[Protocol.MATCHED] = np.bincount(cell_of_row[matched], minlength=k)
-            if Protocol.GREEDY in self.protocols:
-                # every prediction with an edge is a hit, every ground truth
-                # without one a miss
-                tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(cols)], minlength=k)
-                fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(rows)], minlength=k)
-        for protocol, hits in tp.items():
-            misses = fn.get(protocol, n - hits)
-            for out, cls, hit, miss, preds in zip(outs, classes, hits.tolist(), misses.tolist(),
-                                                  m.tolist()):
-                out[protocol, cls] = ClassCounts(class_id=cls, tp=hit, fp=preds - hit, fn=miss)
-        self.cells.clear()
+def _cell(gts: np.ndarray, preds: np.ndarray, radius: float, raw: bool, edges: bool):
+    """One (image, class) cell as (n, m, distance matrix, edge rows, edge
+    cols): the matrix is kept only for raw Hungarian, and the edges within
+    the radius only for matched and greedy. Built here rather than in the
+    generator, whose frame would otherwise hold the previous cell's matrix
+    while the next one is built."""
+    dist = distance_matrix(gts, preds)
+    rows, cols = np.nonzero(dist <= radius) if edges else (None, None)
+    return (*dist.shape, dist if raw else None, rows, cols)
 
 
-def evaluate_image(
-    gts: PointSet,
-    preds: PointSet,
-    radius: float,
-    class_ids: Sequence[int],
-    protocols: Sequence[Protocol],
-    batch: _CellBatch | None = None,
-) -> dict[tuple[Protocol, int], ClassCounts]:
-    """Counts of one image per (protocol, class). Each class's distance
-    matrix is built once and scored under every protocol. The cells go to
-    ``batch`` (made for the same radius and protocols) when one is given,
-    and their counts are filled in when it is scored; otherwise they are
-    scored before returning."""
-    own = batch is None
-    if own:
-        batch = _CellBatch(radius, protocols)
-    out = {}
-    for cls in class_ids:
-        batch.add(out, cls, distance_matrix(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]))
-    if own:
-        batch.flush()
-    return out
+def _cells(gt_by_image, pred_by_image, images, class_ids, radius, protocols):
+    """The (image, class) cells of ``images`` in order, classes in
+    ``class_ids`` order within an image."""
+    raw = Protocol.RAW_HUNGARIAN in protocols
+    edges = Protocol.MATCHED in protocols or Protocol.GREEDY in protocols
+    empty = as_point_set(())
+    for image_id in images:
+        gts = as_point_set(gt_by_image.get(image_id, empty))
+        preds = as_point_set(pred_by_image.get(image_id, empty))
+        for cls in class_ids:
+            yield _cell(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls], radius, raw, edges)
 
 
-def _protocol_counts(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
+def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Protocol, np.ndarray]:
+    """TP, FP and FN of each cell under each protocol, a (k, 3) array per
+    protocol. One min-cost call solves every raw-Hungarian cell; one maximum
+    matching over the union of the cells' radius graphs scores matched, and
+    greedy reads the same edges."""
+    n, m, dists, rows, cols = zip(*cells)
+    n, m = np.array(n, dtype=np.int64), np.array(m, dtype=np.int64)
+    k = len(n)
+    tp, fn = {}, {}
+    if Protocol.RAW_HUNGARIAN in protocols:
+        hits = []
+        for d, solved in zip(dists, solve_min_cost_batch([CostMatrix(d) for d in dists])):
+            pairs = np.array(solved.pairs, dtype=np.int64).reshape(-1, 2)
+            hits.append(np.count_nonzero(d[pairs[:, 0], pairs[:, 1]] <= radius))
+        tp[Protocol.RAW_HUNGARIAN] = np.array(hits, dtype=np.int64)
+    if Protocol.MATCHED in protocols or Protocol.GREEDY in protocols:
+        # the cells' radius graphs as one block-diagonal graph
+        cell_of_row = np.repeat(np.arange(k), n)
+        cell_of_col = np.repeat(np.arange(k), m)
+        rows = np.concatenate([r + o for r, o in zip(rows, np.cumsum(n) - n)])
+        cols = np.concatenate([c + o for c, o in zip(cols, np.cumsum(m) - m)])
+        if Protocol.MATCHED in protocols:
+            matched, _ = max_matching_edges(rows, cols)
+            tp[Protocol.MATCHED] = np.bincount(cell_of_row[matched], minlength=k)
+        if Protocol.GREEDY in protocols:
+            # every prediction with an edge is a hit, every ground truth
+            # without one a miss
+            tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(cols)], minlength=k)
+            fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(rows)], minlength=k)
+    return {p: np.stack([tp[p], m - tp[p], fn.get(p, n - tp[p])], axis=1) for p in protocols}
+
+
+def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[Protocol, np.ndarray]:
+    """TP, FP and FN per protocol as an (images, classes, 3) array, images
+    being the union of image ids in sorted order. Cells are scored
+    ``CELL_BATCH`` at a time."""
+    images = sorted(set(gt_by_image) | set(pred_by_image))
+    cells = _cells(gt_by_image, pred_by_image, images, class_ids, radius, protocols)
+    total = len(images) * len(class_ids)
+    counts = {p: np.zeros((total, 3), dtype=np.int64) for p in protocols}
+    for start in range(0, total, CELL_BATCH):
+        scored = score_cells(list(islice(cells, CELL_BATCH)), radius, protocols)
+        for p in protocols:
+            counts[p][start : start + CELL_BATCH] = scored[p]
+    return {p: c.reshape(len(images), len(class_ids), 3) for p, c in counts.items()}
+
+
+def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
+    """Counts per class of one image under ``protocol``."""
     gts, preds = as_point_set(gts), as_point_set(preds)
     if class_ids is None:
         class_ids = np.union1d(gts.cls, preds.cls).tolist()
-    counts = evaluate_image(gts, preds, radius, class_ids, (protocol,))
-    return {cls: counts[protocol, cls] for cls in class_ids}
+    counts = _evaluate({"": gts}, {"": preds}, radius, class_ids, (protocol,))[protocol]
+    return {cls: ClassCounts(cls, *c) for cls, c in zip(class_ids, counts[0].tolist())}
 
 
 def match_thresholded(
@@ -189,7 +178,7 @@ def match_thresholded(
 ) -> dict[int, ClassCounts]:
     """Corrected protocol: threshold distances at the radius (inclusive),
     then maximum bipartite matching per class; TP = matching size."""
-    return _protocol_counts(Protocol.MATCHED, gts, preds, radius, class_ids)
+    return _match(Protocol.MATCHED, gts, preds, radius, class_ids)
 
 
 def match_raw_hungarian(
@@ -201,7 +190,7 @@ def match_raw_hungarian(
     """Flawed protocol: min-cost assignment on the raw distance matrix,
     radius filtering only afterwards. Reproduced deliberately; its global
     objective can discard locally correct detections."""
-    return _protocol_counts(Protocol.RAW_HUNGARIAN, gts, preds, radius, class_ids)
+    return _match(Protocol.RAW_HUNGARIAN, gts, preds, radius, class_ids)
 
 
 def match_greedy(
@@ -212,46 +201,27 @@ def match_greedy(
 ) -> dict[int, ClassCounts]:
     """Flawed protocol: every prediction within the radius of any same-class
     ground truth counts as a true positive (one-to-many), inflating TP."""
-    return _protocol_counts(Protocol.GREEDY, gts, preds, radius, class_ids)
+    return _match(Protocol.GREEDY, gts, preds, radius, class_ids)
 
 
-def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> list[dict]:
-    """Per-image counts over the union of image ids, in sorted order."""
-    empty = as_point_set(())
-    batch = _CellBatch(radius, protocols)
-    per_image = [
-        evaluate_image(
-            as_point_set(gt_by_image.get(image_id, empty)),
-            as_point_set(pred_by_image.get(image_id, empty)),
-            radius,
-            class_ids,
-            protocols,
-            batch,
-        )
-        for image_id in sorted(set(gt_by_image) | set(pred_by_image))
-    ]
-    batch.flush()
-    return per_image
-
-
-def _report(protocol: Protocol, per_image: list[dict], config: EvalConfig) -> EvalReport:
+def _report(protocol: Protocol, counts: np.ndarray, config: EvalConfig) -> EvalReport:
+    """The report of one protocol's (images, classes, 3) counts."""
     per_class = []
-    for cls in config.class_ids:
-        image_counts = [image[protocol, cls] for image in per_image]
-        counts = sum(image_counts, ClassCounts(class_id=cls))
+    for j, cls in enumerate(config.class_ids):
+        total = ClassCounts(cls, *counts[:, j].sum(axis=0).tolist())
         if config.aggregate is Aggregate.DATASET_COUNTS:
-            f1 = f1_from_counts(counts)
+            f1 = f1_from_counts(total)
         else:
-            f1s = [f1_from_counts(c) for c in image_counts]
+            f1s = [f1_from_counts(ClassCounts(cls, *c)) for c in counts[:, j].tolist()]
             f1 = sum(f1s) / len(f1s) if f1s else 0.0
-        per_class.append((counts, f1))
+        per_class.append((total, f1))
 
     macro = sum(f1 for _, f1 in per_class) / len(per_class)
     return EvalReport(
         per_class=tuple(per_class),
         macro_f1=macro,
         protocol=protocol,
-        images=len(per_image),
+        images=len(counts),
     )
 
 
@@ -267,10 +237,10 @@ def evaluate_dataset(
     ``dataset_counts`` TP/FP/FN are summed before F1; under
     ``per_image_mean`` per-image F1 scores are averaged.
     """
-    per_image = _evaluate(
+    counts = _evaluate(
         gt_by_image, pred_by_image, config.radius, config.class_ids, (config.protocol,)
     )
-    return _report(config.protocol, per_image, config)
+    return _report(config.protocol, counts[config.protocol], config)
 
 
 @dataclass(frozen=True)
@@ -298,8 +268,8 @@ def compare_protocols(
     """Evaluate all three protocols on identical inputs, reporting relative
     F1 deltas against the corrected (matched) protocol."""
     config = EvalConfig(radius=radius, class_ids=class_ids, aggregate=aggregate)
-    per_image = _evaluate(gt_by_image, pred_by_image, radius, class_ids, tuple(Protocol))
-    reports = {protocol: _report(protocol, per_image, config) for protocol in Protocol}
+    counts = _evaluate(gt_by_image, pred_by_image, radius, class_ids, tuple(Protocol))
+    reports = {protocol: _report(protocol, counts[protocol], config) for protocol in Protocol}
 
     reference = reports[Protocol.MATCHED]
     ref_by_class = {c.class_id: f1 for c, f1 in reference.per_class}

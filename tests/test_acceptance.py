@@ -8,12 +8,8 @@ import random
 
 import numpy as np
 
-from pointmatch.assignment import (
-    brute_force_max_matching,
-    brute_force_min_cost,
-    solve_max_matching,
-    solve_min_cost,
-)
+from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
+from pointmatch.assignment import solve_max_matching, solve_min_cost
 from pointmatch.cli import main
 from pointmatch.evaluation import (
     EvalConfig,

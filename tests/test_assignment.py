@@ -1,15 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
     _lockstep_sap,
     _min_cost_pairs,
     _shortest_augmenting_path,
-    brute_force_max_matching,
-    brute_force_min_cost,
     max_matching_edges,
     solve_max_matching,
     solve_min_cost,
@@ -134,6 +137,19 @@ class TestBruteForceMaxMatching:
     def test_rejects_large(self):
         with pytest.raises(ValueError):
             brute_force_max_matching(BoolMatrix(np.ones((9, 9), bool)))
+
+
+def test_package_import_leaves_oracles_unloaded():
+    import pointmatch
+
+    assert not hasattr(pointmatch, "brute_force_min_cost")
+    assert "brute_force_max_matching" not in pointmatch.__all__
+    # a fresh interpreter: this one has already imported the oracles
+    code = "import sys, pointmatch; print('pointmatch._oracle' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(pointmatch.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def _structural_ok(a: Assignment, rows, cols):

@@ -263,6 +263,16 @@ class TestMatch:
         assert widths == [2, 2]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("header", ["confidence", "conf_bg,conf_1"])
+    def test_header_only_files_give_empty_report(self, tmp_path, capsys, header):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("image_id,x,y,class_id\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(f"image_id,x,y,class_id,{header}\n")
+        code, out, _ = run(capsys, "match", str(gt), str(pred))
+        assert code == 0
+        assert strict_loads(out)["images"] == []
+
     def test_more_gts_than_preds_exits_3(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("image_id,x,y,class_id\nim,10,10,1\nim,20,20,1\n")

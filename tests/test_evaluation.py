@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pointmatch import evaluation
-from pointmatch.assignment import brute_force_max_matching
+from pointmatch._oracle import brute_force_max_matching
 from pointmatch.evaluation import (
     Aggregate,
     ClassCounts,
@@ -213,6 +213,16 @@ class TestEvaluateDataset:
         assert by_counts.macro_f1 == pytest.approx(2 / 3)
         assert by_mean.macro_f1 == pytest.approx(0.5)
 
+    def test_per_image_mean_counts_absent_class_as_zero(self):
+        # an image where a class is absent on both sides scores F1 = 0 for
+        # that class, so each class's mean is 0.5 although every point is
+        # predicted perfectly
+        gts = {"a": [pt(0, 0, 1)], "b": [pt(0, 0, 2)]}
+        config = EvalConfig(radius=6.0, class_ids=(1, 2), aggregate=Aggregate.PER_IMAGE_MEAN)
+        report = evaluate_dataset(gts, gts, config)
+        assert [f1 for _, f1 in report.per_class] == [0.5, 0.5]
+        assert report.macro_f1 == 0.5
+
 
 class TestCompareProtocols:
     def test_figure3_deltas(self):
@@ -245,8 +255,8 @@ class TestCompareProtocols:
 
 
 class TestRawHungarianBatches:
-    """Raw-Hungarian cells are solved in batches of CELL_BATCH; the
-    counts must be those of solving each (image, class) cell on its own."""
+    """(image, class) cells are scored in batches of CELL_BATCH under every
+    protocol; the counts must be those of scoring each cell on its own."""
 
     def _dataset(self):
         rng = random.Random(64)
@@ -275,7 +285,7 @@ class TestRawHungarianBatches:
             evaluation, "solve_min_cost_batch",
             lambda costs: sizes.append(len(costs)) or batched(costs),
         )
-        per_image = evaluation._evaluate(
+        counts = evaluation._evaluate(
             gt_by_image, pred_by_image, 6.0, (1, 2), tuple(Protocol)
         )
         rows = compare_protocols(gt_by_image, pred_by_image, 6.0, (1, 2))
@@ -287,19 +297,40 @@ class TestRawHungarianBatches:
         assert sizes == 3 * [64, 64, 2 * len(images) - 128]
         monkeypatch.undo()
 
+        single = {
+            Protocol.MATCHED: match_thresholded,
+            Protocol.RAW_HUNGARIAN: match_raw_hungarian,
+            Protocol.GREEDY: match_greedy,
+        }
         totals = {cls: ClassCounts(cls) for cls in (1, 2)}
-        for image_id, counts in zip(images, per_image, strict=True):
-            for cls in (1, 2):
-                # one class per call: a single matrix, solved on its own
-                alone = match_raw_hungarian(
-                    gt_by_image.get(image_id, []), pred_by_image.get(image_id, []),
-                    6.0, (cls,),
-                )[cls]
-                assert counts[Protocol.RAW_HUNGARIAN, cls] == alone
-                totals[cls] += alone
+        for protocol, match in single.items():
+            assert counts[protocol].shape == (len(images), 2, 3)
+            for i, image_id in enumerate(images):
+                for j, cls in enumerate((1, 2)):
+                    # one class per call: a single cell, scored on its own
+                    alone = match(
+                        gt_by_image.get(image_id, []), pred_by_image.get(image_id, []),
+                        6.0, (cls,),
+                    )[cls]
+                    assert ClassCounts(cls, *counts[protocol][i, j].tolist()) == alone
+                    if protocol is Protocol.RAW_HUNGARIAN:
+                        totals[cls] += alone
         assert [c for c, _ in report.per_class] == [totals[1], totals[2]]
         raw = next(r for r in rows if r.protocol is Protocol.RAW_HUNGARIAN)
         assert raw.per_class_f1 == tuple((c.class_id, f1) for c, f1 in report.per_class)
+
+    def test_matched_only_streams_in_cell_batches(self, monkeypatch):
+        gt_by_image, pred_by_image = self._dataset()
+        sizes = []
+        scored = evaluation.score_cells
+        monkeypatch.setattr(
+            evaluation, "score_cells",
+            lambda cells, radius, protocols: sizes.append(len(cells))
+            or scored(cells, radius, protocols),
+        )
+        evaluate_dataset(gt_by_image, pred_by_image, EvalConfig(radius=6.0, class_ids=(1, 2)))
+        # 79 images x 2 classes
+        assert sizes == [64, 64, 30]
 
 
 def test_config_validation():
