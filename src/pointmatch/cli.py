@@ -10,7 +10,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def _load_eval_inputs(args):
     aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
     if aggregate is None:
         raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
-    if not 0 < args.radius < math.inf:
-        raise ConfigError("radius must be positive and finite")
+    EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
     gt_by_image = pointfile.group_labeled(gt_table)
@@ -244,10 +243,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_match(args) -> int:
-    if args.beta < 1:
-        raise ConfigError("beta must be >= 1")
-    if not 0 < args.tau < math.inf:
-        raise ConfigError("tau must be positive and finite")
+    # the options are checked before the files are read; the class weights
+    # are sized once the files give the number of classes
+    config = matching.MatchConfig(
+        tau=args.tau,
+        beta=args.beta,
+        class_weights=(args.lambda_bg, args.lambda_fg),
+        reg_weight=args.lambda_reg,
+        one2many_weight=args.lambda_one2many,
+    )
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
     classes = np.concatenate([gt_table.cls, pred_table.cls])
@@ -263,20 +267,12 @@ def cmd_match(args) -> int:
         num_classes = max(len(occurring), 1)
     gt_by_image = pointfile.group_labeled(gt_table)
     pred_by_image = pointfile.group_predicted(pred_table, num_classes)
-
-    class_weights = (args.lambda_bg,) + (args.lambda_fg,) * num_classes
-    config = matching.MatchConfig(
-        tau=args.tau,
-        beta=args.beta,
-        class_weights=class_weights,
-        reg_weight=args.lambda_reg,
-        one2many_weight=args.lambda_one2many,
-    )
+    config = replace(config, class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
 
     images = []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
         gts = gt_by_image.get(image_id) or as_point_set(())
-        preds = pred_by_image.get(image_id, [])
+        preds = pred_by_image.get(image_id) or as_point_set(())
         if len(gts) > len(preds):
             raise ConfigError(
                 f"image {image_id}: {len(gts)} ground truths but only "
@@ -285,16 +281,16 @@ def cmd_match(args) -> int:
         costs = matching.build_cost_matrix(gts, preds, config.tau)
         one2one, one2many = matching.match_hybrid(gts, preds, config)
         losses = matching.combined_loss(gts, preds, config)
-        gxy = gts.xy.tolist()
+        gxy, pxy = gts.xy.tolist(), preds.xy.tolist()
 
         def dump(outcome):
             pairs = []
             for gi, pi in outcome.matched:
-                (gx, gy), p = gxy[gi], preds[pi]
+                (gx, gy), (px, py) = gxy[gi], pxy[pi]
                 pairs.append({
                     "gt_index": gi,
                     "pred_index": pi,
-                    "distance": math.hypot(gx - p.x, gy - p.y),
+                    "distance": math.hypot(gx - px, gy - py),
                     "cost": costs.values[gi, pi],
                 })
             return {"pairs": pairs, "negatives": list(outcome.negatives)}
@@ -303,13 +299,7 @@ def cmd_match(args) -> int:
             "image_id": image_id,
             "one_to_one": dump(one2one),
             "one_to_many": dump(one2many),
-            "losses": {
-                "cls_1v1": losses.cls_1v1,
-                "reg_1v1": losses.reg_1v1,
-                "cls_1vN": losses.cls_1vN,
-                "reg_1vN": losses.reg_1vN,
-                "combined": losses.combined,
-            },
+            "losses": asdict(losses),
         })
 
     def render(fmt):

@@ -163,6 +163,7 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
 
 def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
     """Counts per class of one image under ``protocol``."""
+    EvalConfig(radius=radius)  # refuses a radius that is not positive and finite
     gts, preds = as_point_set(gts), as_point_set(preds)
     if class_ids is None:
         class_ids = np.union1d(gts.cls, preds.cls).tolist()

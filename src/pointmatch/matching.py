@@ -1,7 +1,7 @@
 """Training-time matcher: distance/confidence cost matrix, one-to-one and
 hybrid one-to-many Hungarian matching, and the associated classification,
 regression and combined losses. Ground truths are a ``PointSet`` or a list
-of ``LabeledPoint``s; proposals are a list of ``PredictedPoint``s."""
+of ``LabeledPoint``s; proposals a ``PointSet`` with confidences ``conf``."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CostMatrix, Points, PredictedPoint, as_point_set, distance_matrix
+from .types import CostMatrix, Points, as_point_set, distance_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -71,51 +71,44 @@ class LossBreakdown:
 
 def build_cost_matrix(
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
     tau: float = DEFAULT_TAU,
 ) -> CostMatrix:
     """Pairwise cost: tau * euclidean distance minus the proposal's
     confidence for the ground-truth class. Shape N x M."""
-    gts = as_point_set(gts)
+    gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
+    if m and preds.conf is None:
+        raise ValueError("proposals need a confidence matrix (PointSet.conf)")
     values = np.zeros((n, m))
     if n and m:
         cls = gts.cls
-        classes = min(p.num_classes for p in preds)
+        classes = preds.conf.shape[1] - 1
         if cls.max() > classes:
             raise ValueError(
                 f"gt class {cls.max()} outside prediction confidence vector "
                 f"({classes} classes)"
             )
-        conf = np.array([p.confidences[: classes + 1] for p in preds])
-        pxy = np.array([(p.x, p.y) for p in preds])
-        values = tau * distance_matrix(gts.xy, pxy) - conf[:, cls].T
+        values = tau * distance_matrix(gts.xy, preds.xy) - preds.conf[:, cls].T
     return CostMatrix(values)
-
-
-def _outcome_from_pairs(pairs, num_preds) -> MatchOutcome:
-    matched_cols = {c for _, c in pairs}
-    negatives = tuple(j for j in range(num_preds) if j not in matched_cols)
-    return MatchOutcome(matched=tuple(sorted(pairs)), negatives=negatives)
 
 
 def match_one_to_one(
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
     config: MatchConfig = MatchConfig(),
 ) -> MatchOutcome:
     """Optimal one-to-one assignment of every ground truth to a proposal."""
     n, m = len(gts), len(preds)
     if n > m:
         raise ValueError(f"insufficient proposals: {n} ground truths but only {m} proposals")
-    costs = build_cost_matrix(gts, preds, config.tau)
-    assignment = solve_min_cost(costs)
-    return _outcome_from_pairs(assignment.pairs, m)
+    assignment = solve_min_cost(build_cost_matrix(gts, preds, config.tau))
+    return MatchOutcome(matched=assignment.pairs, negatives=assignment.unmatched_cols)
 
 
 def match_hybrid(
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
     config: MatchConfig = MatchConfig(),
 ) -> tuple[MatchOutcome, MatchOutcome]:
     """One-to-one matching plus a one-to-many matching obtained by
@@ -125,7 +118,7 @@ def match_hybrid(
     If N * beta exceeds M, all proposals are consumed and a warning is
     emitted.
     """
-    gts = as_point_set(gts)
+    gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
     one2one = match_one_to_one(gts, preds, config)
     if config.beta == 1:
@@ -139,14 +132,14 @@ def match_hybrid(
     costs = build_cost_matrix(gts, preds, config.tau)
     replicated = CostMatrix(np.repeat(costs.values, config.beta, axis=0))
     assignment = solve_min_cost(replicated)
-    pairs = [(row // config.beta, col) for row, col in assignment.pairs]
-    return one2one, _outcome_from_pairs(pairs, m)
+    pairs = tuple(sorted((row // config.beta, col) for row, col in assignment.pairs))
+    return one2one, MatchOutcome(matched=pairs, negatives=assignment.unmatched_cols)
 
 
 def classification_loss(
     outcome: MatchOutcome,
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
     class_weights: tuple[float, ...],
 ) -> float:
     """Weighted negative log-likelihood averaged over all proposals.
@@ -159,13 +152,14 @@ def classification_loss(
     if m == 0:
         return 0.0
     classes = as_point_set(gts).cls.tolist()
+    conf = as_point_set(preds).conf.tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
         cls = classes[gt_idx]
-        c = max(preds[pred_idx].confidences[cls], LOG_CLAMP)
+        c = max(conf[pred_idx][cls], LOG_CLAMP)
         total -= class_weights[cls] * math.log(c)
     for pred_idx in outcome.negatives:
-        c = max(preds[pred_idx].confidences[0], LOG_CLAMP)
+        c = max(conf[pred_idx][0], LOG_CLAMP)
         total -= class_weights[0] * math.log(c)
     return total / m
 
@@ -173,29 +167,29 @@ def classification_loss(
 def regression_loss(
     outcome: MatchOutcome,
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
 ) -> float:
     """Mean squared euclidean distance over matched pairs (0 if none)."""
     if not outcome.matched:
         return 0.0
-    gxy = as_point_set(gts).xy.tolist()
+    gxy, pxy = as_point_set(gts).xy.tolist(), as_point_set(preds).xy.tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
-        (gx, gy), p = gxy[gt_idx], preds[pred_idx]
-        total += (gx - p.x) ** 2 + (gy - p.y) ** 2
+        (gx, gy), (px, py) = gxy[gt_idx], pxy[pred_idx]
+        total += (gx - px) ** 2 + (gy - py) ** 2
     return total / len(outcome.matched)
 
 
 def combined_loss(
     gts: Points,
-    preds: list[PredictedPoint],
+    preds: Points,
     config: MatchConfig = MatchConfig(),
 ) -> LossBreakdown:
     """Hybrid matching followed by both loss branches:
     combined = (cls_1v1 + reg_weight * reg_1v1)
              + one2many_weight * (cls_1vN + reg_weight * reg_1vN).
     """
-    gts = as_point_set(gts)
+    gts, preds = as_point_set(gts), as_point_set(preds)
     one2one, one2many = match_hybrid(gts, preds, config)
     cls_1v1 = classification_loss(one2one, gts, preds, config.class_weights)
     reg_1v1 = regression_loss(one2one, gts, preds)

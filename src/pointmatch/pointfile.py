@@ -27,9 +27,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
-from .types import PointSet, PredictedPoint
+from .types import PointSet
 
 _BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
+# the largest |x| or |y| read: distances, squared distances and their sums
+# over any number of pairs stay finite
+_MAX_COORD = 1e100
 
 
 class PointFileError(Exception):
@@ -146,7 +149,8 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
     confidence or no vector, whose cells hold zero placeholders until then."""
     checks = [
         (cls < 1, "class_id must be >= 1"),
-        (~np.isfinite(xy).all(axis=1), "coordinates must be finite"),
+        (~(np.abs(xy) <= _MAX_COORD).all(axis=1),
+         f"coordinates must be finite and at most {_MAX_COORD:g} in absolute value"),
     ]
     if confidence is not None:
         checks.append((~((confidence >= 0.0) & (confidence <= 1.0)),
@@ -356,8 +360,9 @@ def group_labeled(table: PointTable) -> dict[str, PointSet]:
     }
 
 
-def group_predicted(table: PointTable, num_classes: int) -> dict[str, list[PredictedPoint]]:
-    """Group a table by image into PredictedPoint lists.
+def group_predicted(table: PointTable, num_classes: int) -> dict[str, PointSet]:
+    """Group a table by image into proposal PointSets, each with its
+    (bg, 1..num_classes) confidence matrix ``conf``.
 
     Records with full confidence vectors are taken as-is; records with a
     single confidence c are treated as one-class predictions (bg = 1 - c);
@@ -381,9 +386,6 @@ def group_predicted(table: PointTable, num_classes: int) -> dict[str, list[Predi
     conf[plain, table.cls[plain]] = level
     conf[plain, 0] = 1.0 - level
     return {
-        image_id: [
-            PredictedPoint(x=x, y=y, confidences=tuple(c))
-            for (x, y), c in zip(table.xy[rows].tolist(), conf[rows].tolist())
-        ]
+        image_id: PointSet(table.xy[rows], table.cls[rows], conf[rows])
         for image_id, rows in _image_rows(table)
     }

@@ -50,30 +50,41 @@ class PredictedPoint:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """The labeled points of one image as columns: coordinates ``xy``
-    (n, 2) and class ids ``cls`` (n,), in file order.
+    """The points of one image as columns: coordinates ``xy`` (n, 2) and
+    class ids ``cls`` (n,), in file order. Training proposals also carry
+    their (bg, 1..T) confidence matrix ``conf`` (n, T+1).
 
     Whoever builds one has validated it: ``pointfile`` checks whole files
-    at load, and ``LabeledPoint`` checks each point it is built from.
+    at load, and ``LabeledPoint`` and ``PredictedPoint`` check each point
+    they are built from.
     """
 
     xy: np.ndarray
     cls: np.ndarray
+    conf: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.cls)
 
 
-# the labeled points that evaluation and matching entry points accept
-Points = PointSet | Sequence[LabeledPoint]
+# the points that evaluation and matching entry points accept
+Points = PointSet | Sequence[LabeledPoint] | Sequence[PredictedPoint]
 
 
 def as_point_set(points: Points) -> PointSet:
     """``points`` unchanged if it is a PointSet, else the PointSet of a
-    sequence of LabeledPoints."""
+    sequence of LabeledPoints or of PredictedPoints.
+
+    PredictedPoint vectors are cut to the length of the shortest one, and
+    each proposal's class is its most confident foreground class.
+    """
     if isinstance(points, PointSet):
         return points
     xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    if points and isinstance(points[0], PredictedPoint):
+        width = min(len(p.confidences) for p in points)
+        conf = np.array([p.confidences[:width] for p in points], dtype=float)
+        return PointSet(xy, 1 + conf[:, 1:].argmax(axis=1), conf)
     return PointSet(xy, np.array([p.class_id for p in points], dtype=np.int64))
 
 

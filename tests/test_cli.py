@@ -135,6 +135,32 @@ class TestEvaluate:
         assert code == 2
         assert "class_id must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["compare"], ["evaluate", "--protocol", "raw-hungarian"], ["match"],
+    ])
+    def test_coordinate_bound(self, tmp_path, capsys, argv):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        command, *options = argv
+
+        def check(gt_rows, pred_rows):
+            gt.write_text("image_id,x,y,class_id\n" + gt_rows)
+            pred.write_text("image_id,x,y,class_id,confidence\n" + pred_rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return run(capsys, command, str(gt), str(pred), *options, "--format", "json")
+
+        # 30 pairs at the bound, 2e100 apart: distances, costs and the
+        # regression loss's sum of squares stay finite
+        code, out, err = check("".join(f"im,1e100,{i},1\n" for i in range(30)),
+                               "".join(f"im,-1e100,{i},1,0.9\n" for i in range(30)))
+        assert code == 0, err
+        strict_loads(out)
+        # beyond it, distances overflow: a fault of the file, on either side
+        message = "line 2: coordinates must be finite and at most 1e+100 in absolute value"
+        for gt_x in ("1e308", "0"):
+            code, out, err = check(f"im,{gt_x},0,1\n", "im,-1e308,0,1,0.9\n")
+            assert (code, out) == (2, "") and message in err
+
     @pytest.mark.parametrize("name, content", [
         ("bad.csv", b"image_id,x,y,class_id\n\xe9,1,2,1\n"),
         ("bom.csv", b"\xef\xbb\xbfimage_id,x,y,class_id\n\xe9,1,2,1\n"),
@@ -378,6 +404,12 @@ GOLDEN_CASES = {
         f"match-beta{beta}.{fmt}": ["match", "fig_gt.csv", "match_pred.csv", "--beta", str(beta),
                                     "--format", fmt]
         for beta in (1, 2)
+        for fmt in ("table", "json")
+    },
+    # match on a file with one ``confidence`` column (no conf_* vector)
+    **{
+        f"match-figure3.{fmt}": ["match", "fig_gt.csv", "fig_pred.csv", "--beta", "1",
+                                 "--format", fmt]
         for fmt in ("table", "json")
     },
 }

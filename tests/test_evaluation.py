@@ -334,9 +334,12 @@ class TestRawHungarianBatches:
 
 
 def test_config_validation():
-    for radius in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
             EvalConfig(radius=radius)
+        for match in (match_thresholded, match_raw_hungarian, match_greedy):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                match([pt(0, 0)], [pt(0, 0)], radius)
     with pytest.raises(ValueError):
         EvalConfig(class_ids=())
     with pytest.raises(ValueError):

@@ -10,11 +10,13 @@ from pointmatch.matching import (
     build_cost_matrix,
     classification_loss,
     combined_loss,
+    default_class_weights,
     match_hybrid,
     match_one_to_one,
     regression_loss,
 )
-from pointmatch.types import LabeledPoint, PredictedPoint
+from pointmatch.pointfile import PointRecord, group_predicted, read_point_file, write_point_file
+from pointmatch.types import LabeledPoint, PredictedPoint, as_point_set
 
 
 def random_scene(rng, n, m, num_classes=1, extent=50.0):
@@ -58,6 +60,42 @@ class TestBuildCostMatrix:
         preds = [PredictedPoint(0, 0, (0.5, 0.5))]
         with pytest.raises(ValueError):
             build_cost_matrix(gts, preds, 0.05)
+
+    def test_proposals_without_confidences(self):
+        gts = [LabeledPoint(0, 0, 1)]
+        with pytest.raises(ValueError, match="confidence matrix"):
+            build_cost_matrix(gts, as_point_set([LabeledPoint(1, 1, 1)]), 0.05)
+
+
+@pytest.mark.filterwarnings("ignore:replicated targets")
+@pytest.mark.parametrize("num_classes", [1, 3])
+def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
+    """A PredictedPoint list and the PointSet that ``group_predicted`` reads
+    from the same records give the same costs, pairs, negatives and losses."""
+    rng = random.Random(40 + num_classes)
+    weights = default_class_weights(num_classes)
+    for trial in range(12):
+        m = rng.randint(1, 12)
+        gts, preds = random_scene(rng, rng.randint(0, m), m, num_classes)
+        path = str(tmp_path / f"pred{trial}.csv")
+        write_point_file(path, [
+            PointRecord("im", p.x, p.y, 1 + int(np.argmax(p.confidences[1:])),
+                        confidences=p.confidences)
+            for p in preds
+        ])
+        columns = group_predicted(read_point_file(path), num_classes)["im"]
+        adapted = as_point_set(preds)
+        assert np.array_equal(adapted.xy, columns.xy) and np.array_equal(adapted.cls, columns.cls)
+        assert np.array_equal(build_cost_matrix(gts, preds).values,
+                              build_cost_matrix(gts, columns).values)
+        for beta in (1, 2, 4):
+            cfg = MatchConfig(beta=beta, class_weights=weights)
+            outcomes = match_hybrid(gts, preds, cfg)
+            assert outcomes == match_hybrid(gts, columns, cfg)
+            for outcome in outcomes:
+                matched_cols = {c for _, c in outcome.matched}
+                assert outcome.negatives == tuple(sorted(set(range(m)) - matched_cols))
+            assert combined_loss(gts, preds, cfg) == combined_loss(gts, columns, cfg)
 
 
 class TestMatchOneToOne:

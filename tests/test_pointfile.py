@@ -128,13 +128,12 @@ class TestGrouping:
     def test_group_predicted_single_confidence(self, tmp_path):
         records = [PointRecord("a", 0, 0, 2, confidence=0.8)]
         groups = group_predicted(table(tmp_path, records), num_classes=2)
-        p = groups["a"][0]
-        assert p.confidences == (0.19999999999999996, 0.0, 0.8)
+        assert groups["a"].conf[0].tolist() == [0.19999999999999996, 0.0, 0.8]
 
     def test_group_predicted_full_vector(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
         groups = group_predicted(table(tmp_path, records), num_classes=1)
-        assert groups["a"][0].confidences == (0.1, 0.9)
+        assert groups["a"].conf[0].tolist() == [0.1, 0.9]
 
     def test_group_predicted_wrong_vector_length(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
