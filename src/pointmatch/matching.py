@@ -6,13 +6,14 @@ of ``LabeledPoint``s; proposals a ``PointSet`` with confidences ``conf``."""
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CostMatrix, Points, as_point_set, distance_matrix
+from .types import CostMatrix, Points, PointSet, as_point_set, distance_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -43,6 +44,10 @@ class MatchConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
+        try:
+            operator.index(self.beta)
+        except TypeError:
+            raise ValueError(f"beta must be an integer, not {self.beta!r}") from None
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
         if len(self.class_weights) < 2 or not all(0 < w < math.inf for w in self.class_weights):
@@ -69,6 +74,13 @@ class LossBreakdown:
     combined: float
 
 
+def _confidences(preds: PointSet) -> np.ndarray:
+    """The proposals' confidence matrix; refuses proposals that have none."""
+    if preds.conf is None:
+        raise ValueError("proposals need a confidence matrix (PointSet.conf)")
+    return preds.conf
+
+
 def build_cost_matrix(
     gts: Points,
     preds: Points,
@@ -78,18 +90,17 @@ def build_cost_matrix(
     confidence for the ground-truth class. Shape N x M."""
     gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
-    if m and preds.conf is None:
-        raise ValueError("proposals need a confidence matrix (PointSet.conf)")
+    conf = _confidences(preds) if m else None
     values = np.zeros((n, m))
     if n and m:
         cls = gts.cls
-        classes = preds.conf.shape[1] - 1
+        classes = conf.shape[1] - 1
         if cls.max() > classes:
             raise ValueError(
                 f"gt class {cls.max()} outside prediction confidence vector "
                 f"({classes} classes)"
             )
-        values = tau * distance_matrix(gts.xy, preds.xy) - preds.conf[:, cls].T
+        values = tau * distance_matrix(gts.xy, preds.xy) - conf[:, cls].T
     return CostMatrix(values)
 
 
@@ -151,8 +162,14 @@ def classification_loss(
     m = len(preds)
     if m == 0:
         return 0.0
-    classes = as_point_set(gts).cls.tolist()
-    conf = as_point_set(preds).conf.tolist()
+    classes = as_point_set(gts).cls
+    if classes.size and classes.max() >= len(class_weights):
+        raise ValueError(
+            f"gt class {classes.max()} has no class weight "
+            f"(class_weights covers 0..{len(class_weights) - 1})"
+        )
+    classes = classes.tolist()
+    conf = _confidences(as_point_set(preds)).tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
         cls = classes[gt_idx]

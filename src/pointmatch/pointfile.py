@@ -27,12 +27,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
-from .types import PointSet
+from .types import _COORD_ERROR, _MAX_COORD, PointSet
 
 _BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
-# the largest |x| or |y| read: distances, squared distances and their sums
-# over any number of pairs stay finite
-_MAX_COORD = 1e100
 
 
 class PointFileError(Exception):
@@ -149,8 +146,7 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
     confidence or no vector, whose cells hold zero placeholders until then."""
     checks = [
         (cls < 1, "class_id must be >= 1"),
-        (~(np.abs(xy) <= _MAX_COORD).all(axis=1),
-         f"coordinates must be finite and at most {_MAX_COORD:g} in absolute value"),
+        (~(np.abs(xy) <= _MAX_COORD).all(axis=1), _COORD_ERROR),
     ]
     if confidence is not None:
         checks.append((~((confidence >= 0.0) & (confidence <= 1.0)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import LabeledPoint
+from .types import _MAX_COORD, LabeledPoint
 
 _PURPOSE_TAGS = {
     "ground_truth": 0x67726F75,
@@ -50,8 +50,8 @@ class PerturbationModel:
         if not all(0 <= x < math.inf for x in (self.spurious_rate, self.density,
                                                  self.jitter_sigma)):
             raise ValueError("rates and sigma must be non-negative and finite")
-        if not all(0 < x < math.inf for x in self.extent):
-            raise ValueError("extent must be positive and finite")
+        if not all(0 < x <= _MAX_COORD for x in self.extent):
+            raise ValueError(f"extent must be positive, finite and at most {_MAX_COORD:g}")
         if not self.class_ids:
             raise ValueError("at least one class id required")
         confusion = self.confusion

@@ -7,6 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the largest |x| or |y| accepted: distances, squared distances and their
+# sums over any number of pairs stay finite
+_MAX_COORD = 1e100
+_COORD_ERROR = f"coordinates must be finite and at most {_MAX_COORD:g} in absolute value"
+
+
+def _check_coords(x: float, y: float) -> None:
+    if not (abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD):
+        raise ValueError(_COORD_ERROR)
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -19,8 +29,7 @@ class LabeledPoint:
     def __post_init__(self):
         if self.class_id < 1:
             raise ValueError("class_id must be >= 1 (0 is reserved for background)")
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("coordinates must be finite")
+        _check_coords(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -38,10 +47,9 @@ class PredictedPoint:
     def __post_init__(self):
         if len(self.confidences) < 2:
             raise ValueError("confidences needs background plus at least one class")
-        if any(c < 0.0 or c > 1.0 for c in self.confidences):
+        if not all(0.0 <= c <= 1.0 for c in self.confidences):
             raise ValueError("confidences must lie in [0, 1]")
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("coordinates must be finite")
+        _check_coords(self.x, self.y)
 
     @property
     def num_classes(self) -> int:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
+    _adjacency,
+    _lex_refine,
     _lockstep_sap,
     _min_cost_pairs,
     _shortest_augmenting_path,
@@ -468,3 +470,117 @@ def test_edge_list_matching_of_block_union_equals_per_cell_oracle(cells):
         for r, c in brute_force_max_matching(BoolMatrix(cell)).pairs
     ]
     assert got == want
+
+
+def _lex_min_cost(values):
+    """Test oracle for integer costs of any size: rows in order, each fixed to
+    its smallest column that keeps the optimum (scipy's
+    ``linear_sum_assignment``, exact on integers) attainable. A row that can
+    keep none stays unmatched; only a matrix with more rows than columns has
+    such rows."""
+    from scipy.optimize import linear_sum_assignment
+
+    def best(rows, cols):
+        sub = values[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub)
+        return len(r), sub[r, c].sum()
+
+    n_rows, n_cols = values.shape
+    size = min(n_rows, n_cols)
+    total = best(range(n_rows), range(n_cols))[1]
+    pairs, spent, free = [], 0.0, list(range(n_cols))
+    for i in range(n_rows):
+        rest = list(range(i + 1, n_rows))
+        for c in free:
+            others = [j for j in free if j != c]
+            k, cost = best(rest, others) if rest and others else (0, 0.0)
+            if len(pairs) + 1 + k == size and spent + values[i, c] + cost == total:
+                pairs.append((i, c))
+                spent += values[i, c]
+                free.remove(c)
+                break
+    return tuple(pairs)
+
+
+def _lex_max_matching(rows, cols, n_rows, n_cols):
+    """Test oracle for any size: rows in order, each fixed to its smallest
+    column that keeps a maximum matching (sized by scipy's
+    ``maximum_bipartite_matching``) attainable."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    def size(row_ok, col_ok):
+        keep = row_ok[rows] & col_ok[cols]
+        graph = csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), (n_rows, n_cols))
+        return int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+    row_ok, col_ok = np.ones(n_rows, bool), np.ones(n_cols, bool)
+    left, pairs = size(row_ok, col_ok), []
+    for i in range(n_rows):
+        row_ok[i] = False
+        for c in cols[rows == i].tolist():
+            if col_ok[c]:
+                col_ok[c] = False
+                if 1 + size(row_ok, col_ok) == left:
+                    pairs.append((i, c))
+                    left -= 1
+                    break
+                col_ok[c] = True
+    return tuple(pairs)
+
+
+def test_lex_oracles_agree_with_brute_force():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        r, c = rng.integers(1, 7, 2)
+        beta = int(rng.integers(1, 4))
+        values = np.repeat(rng.integers(0, 4, (r, c)), beta, axis=0)[:7].astype(float)
+        for v in (values, values.T):
+            assert _lex_min_cost(v) == brute_force_min_cost(CostMatrix(v)).pairs
+        mask = rng.random((r, c)) < rng.choice([0.2, 0.5, 0.8])
+        want = brute_force_max_matching(BoolMatrix(mask)).pairs
+        assert _lex_max_matching(*np.nonzero(mask), r, c) == want
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3, 4])
+def test_min_cost_equals_lex_oracle_beyond_brute_force(beta):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(100 + beta)
+    for _ in range(10):
+        n = int(rng.integers(9, 40 // beta + 1))
+        m = int(rng.integers(n * beta, 61))
+        values = np.repeat(rng.integers(0, 5, (n, m)), beta, axis=0).astype(float)
+        for v in (values, values.T):
+            assert solve_min_cost(CostMatrix(v)).pairs == _lex_min_cost(v)
+
+
+def test_max_matching_equals_lex_oracle_beyond_brute_force():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        n, m = rng.integers(20, 41, 2)
+        rows, cols = np.nonzero(rng.random((n, m)) < rng.choice([0.04, 0.08, 0.15]))
+        got = sorted(zip(*(a.tolist() for a in max_matching_edges(rows, cols))))
+        assert tuple(got) == _lex_max_matching(rows, cols, n, m)
+
+
+def test_refinement_completes_a_non_maximum_matching():
+    # a greedy start (each row takes its first free column) is maximal but
+    # often not maximum; the refinement ends on the same pairs as from empty
+    rng = np.random.default_rng(3)
+    short = 0
+    for _ in range(200):
+        n, m = rng.integers(2, 15, 2)
+        rows, cols = np.nonzero(rng.random((n, m)) < 0.3)
+        adj = _adjacency(rows, cols, n)
+        match_row, match_col = [-1] * n, [-1] * m
+        for r in range(n):
+            c = next((c for c in adj[r] if match_col[c] == -1), -1)
+            if c != -1:
+                match_row[r], match_col[c] = c, r
+        greedy = sum(c != -1 for c in match_row)
+        pairs = _lex_refine(adj, match_row, match_col)
+        short += greedy < len(pairs)
+        assert pairs == _lex_refine(adj, [-1] * n, [-1] * m)
+    assert short > 10

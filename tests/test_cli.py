@@ -78,6 +78,14 @@ class TestSynth:
                            "--pred-out", str(tmp_path / "pred.csv"))
         assert code == 3 and "finite" in err
 
+    def test_extent_beyond_file_bound_exits_3(self, tmp_path, capsys):
+        # evaluate would refuse the files such an extent writes
+        code, _, err = run(capsys, "synth", "--extent", "1e200", "1e200",
+                           "--gt-out", str(tmp_path / "gt.csv"),
+                           "--pred-out", str(tmp_path / "pred.csv"))
+        assert code == 3 and err.startswith("error: extent must be")
+        assert not (tmp_path / "gt.csv").exists()
+
     def test_unknown_fixture_exits_3(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "--fixture", "nope",
                          "--gt-out", str(tmp_path / "g.csv"),

@@ -19,7 +19,7 @@ from pointmatch.evaluation import (
     match_thresholded,
 )
 from pointmatch.synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
-from pointmatch.types import BoolMatrix, LabeledPoint
+from pointmatch.types import BoolMatrix, LabeledPoint, PredictedPoint
 
 
 def pt(x, y, cls=1):
@@ -344,3 +344,17 @@ def test_config_validation():
         EvalConfig(class_ids=())
     with pytest.raises(ValueError):
         EvalConfig(class_ids=(1, 1))
+
+
+def test_points_refuse_what_files_refuse():
+    # the coordinate bound and message of pointfile
+    message = "coordinates must be finite and at most 1e\\+100 in absolute value"
+    for x, y in ((1e308, 0.0), (0.0, -1e101), (math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=message):
+            LabeledPoint(x, y, 1)
+        with pytest.raises(ValueError, match=message):
+            PredictedPoint(x, y, (0.5, 0.5))
+    assert LabeledPoint(1e100, -1e100, 1).x == 1e100
+    for confidences in ((math.nan, 0.5), (0.5, 1.5), (-0.1, 0.5)):
+        with pytest.raises(ValueError, match="confidences must lie in"):
+            PredictedPoint(0.0, 0.0, confidences)

@@ -248,6 +248,18 @@ class TestClassificationLoss:
         )
         assert classification_loss(out2, gts, preds2, (0.5, 10.0)) == pytest.approx(base)
 
+    def test_proposals_without_confidences(self):
+        # the same refusal as build_cost_matrix's
+        out = MatchOutcome(matched=((0, 0),), negatives=())
+        preds = as_point_set([LabeledPoint(1, 1, 1)])
+        with pytest.raises(ValueError, match="confidence matrix"):
+            classification_loss(out, [LabeledPoint(0, 0, 1)], preds, (0.5, 10.0))
+
+    def test_class_without_weight(self):
+        # the default config weights background and class 1 only
+        with pytest.raises(ValueError, match="gt class 2 has no class weight"):
+            combined_loss([LabeledPoint(0, 0, 2)], [PredictedPoint(0, 0, (0.1, 0.2, 0.7))])
+
     def test_weight_scaling_is_linear(self):
         rng = random.Random(6)
         gts, preds = random_scene(rng, 2, 6)
@@ -335,6 +347,11 @@ def test_config_validation():
             MatchConfig(tau=tau)
     with pytest.raises(ValueError):
         MatchConfig(beta=0)
+    # a float beta would replicate rows into float ground-truth indices
+    for beta in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            MatchConfig(beta=beta)
+    assert MatchConfig(beta=np.int64(3)).beta == 3
     for weights in ((0.5,), (math.nan, 10.0), (0.5, math.inf)):
         with pytest.raises(ValueError):
             MatchConfig(class_weights=weights)

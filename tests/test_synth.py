@@ -89,7 +89,7 @@ class TestFigure3Fixture:
 def test_model_validation():
     with pytest.raises(ValueError):
         PerturbationModel(drop_rate=1.5)
-    for extent in ((0.0, 10.0), (math.nan, 10.0), (10.0, math.inf)):
+    for extent in ((0.0, 10.0), (math.nan, 10.0), (10.0, math.inf), (1e200, 10.0)):
         with pytest.raises(ValueError):
             PerturbationModel(extent=extent)
     for value in (-1.0, math.nan, math.inf):
