@@ -108,7 +108,8 @@ def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
 
 def _load_eval_inputs(args):
     """The checked ``--aggregate`` and ``--radius`` of ``evaluate`` and
-    ``compare``, then their inputs: points by image, class ids and names."""
+    ``compare``, then their inputs: the two tables, points by image, class
+    ids and names."""
     aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
     if aggregate is None:
         raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
@@ -128,7 +129,7 @@ def _load_eval_inputs(args):
                 f"unknown class_id(s) in input files: {sorted(unknown)}"
             )
     names = {c: names.get(c, str(c)) for c in class_ids}
-    return aggregate, gt_by_image, pred_by_image, class_ids, names
+    return aggregate, (gt_table, pred_table), gt_by_image, pred_by_image, class_ids, names
 
 
 def _fmt_float(v: float) -> str:
@@ -147,14 +148,15 @@ def _manifest_lines(manifest: RunManifest) -> list[str]:
     return lines
 
 
-def _write_report(args, config: dict, payload: dict, render) -> int:
+def _write_report(args, tables, config: dict, payload: dict, render) -> int:
     """Write the report to ``--output`` or stdout. JSON is ``payload`` plus
-    the run manifest; table and csv are the lines of ``render(fmt)``
-    followed by the manifest as ``#`` lines."""
-    digests = {path: pointfile.file_digest(path) for path in (args.gt, args.pred)}
+    the run manifest, which names the digests of the (gt, pred) ``tables``;
+    table and csv are the lines of ``render(fmt)`` followed by the manifest
+    as ``#`` lines."""
+    digests = {path: table.digest for path, table in zip((args.gt, args.pred), tables)}
     manifest = RunManifest(config=config, input_digests=digests)
     if args.fmt == "json":
-        text = json.dumps({**payload, "manifest": manifest.as_dict()}, indent=2, sort_keys=True)
+        text = json.dumps({**payload, "manifest": asdict(manifest)}, indent=2, sort_keys=True)
     else:
         text = "\n".join(render(args.fmt) + _manifest_lines(manifest))
     with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
@@ -167,7 +169,7 @@ def cmd_evaluate(args) -> int:
     protocol = _PROTOCOL_FLAGS.get(args.protocol)
     if protocol is None:
         raise ConfigError(f"unknown protocol: {args.protocol}")
-    aggregate, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
+    aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     config = EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
@@ -196,6 +198,7 @@ def cmd_evaluate(args) -> int:
 
     return _write_report(
         args,
+        tables,
         {"radius": args.radius, "protocol": protocol.value, "class_ids": list(class_ids),
          "aggregate": aggregate.value},
         {"protocol": protocol.value, "per_class": per_class, "macro_f1": report.macro_f1,
@@ -205,7 +208,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    aggregate, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
+    aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     rows = evaluation.compare_protocols(
         gt_by_image, pred_by_image, args.radius, class_ids, aggregate
     )
@@ -236,6 +239,7 @@ def cmd_compare(args) -> int:
 
     return _write_report(
         args,
+        tables,
         {"radius": args.radius, "class_ids": list(class_ids), "aggregate": aggregate.value},
         {"protocols": table},
         render,
@@ -321,6 +325,7 @@ def cmd_match(args) -> int:
 
     return _write_report(
         args,
+        (gt_table, pred_table),
         {"tau": args.tau, "beta": args.beta, "lambda_bg": args.lambda_bg,
          "lambda_fg": args.lambda_fg, "lambda_reg": args.lambda_reg,
          "lambda_one2many": args.lambda_one2many},
@@ -372,15 +377,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PointFileError as exc:
+    except (PointFileError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

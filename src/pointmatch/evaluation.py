@@ -63,16 +63,6 @@ class ClassCounts:
     fp: int = 0
     fn: int = 0
 
-    def __add__(self, other: "ClassCounts") -> "ClassCounts":
-        if other.class_id != self.class_id:
-            raise ValueError("cannot sum counts of different classes")
-        return ClassCounts(
-            class_id=self.class_id,
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-        )
-
 
 @dataclass(frozen=True)
 class EvalReport:

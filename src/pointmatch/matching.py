@@ -127,7 +127,8 @@ def match_hybrid(
 
     Ground truth i occupies the beta consecutive rows starting at i * beta.
     If N * beta exceeds M, all proposals are consumed and a warning is
-    emitted.
+    emitted. A beta above M replicates each row M times, as no ground truth
+    can take more than all M proposals; the pairs are those of beta rows.
     """
     gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
@@ -140,10 +141,11 @@ def match_hybrid(
             "all proposals will be matched",
             stacklevel=2,
         )
+    beta = min(config.beta, max(m, 1))
     costs = build_cost_matrix(gts, preds, config.tau)
-    replicated = CostMatrix(np.repeat(costs.values, config.beta, axis=0))
+    replicated = CostMatrix(np.repeat(costs.values, beta, axis=0))
     assignment = solve_min_cost(replicated)
-    pairs = tuple(sorted((row // config.beta, col) for row, col in assignment.pairs))
+    pairs = tuple(sorted((row // beta, col) for row, col in assignment.pairs))
     return one2one, MatchOutcome(matched=pairs, negatives=assignment.unmatched_cols)
 
 

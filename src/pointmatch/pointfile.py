@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,7 +53,8 @@ class PointTable(Sequence):
 
     ``confidence`` (n,) is NaN where a record has no confidence, and the
     rows of ``confidences`` (n, T+1) are NaN where a record has no vector;
-    a column is None when no record has one. As a sequence the table yields
+    a column is None when no record has one. ``digest`` is the sha256 of
+    the bytes the table was parsed from. As a sequence the table yields
     ``PointRecord``s, so it compares equal to the records it was written
     from.
     """
@@ -62,6 +64,7 @@ class PointTable(Sequence):
     cls: np.ndarray
     confidence: np.ndarray | None = None
     confidences: np.ndarray | None = None
+    digest: str | None = None
 
     def __len__(self) -> int:
         return len(self.cls)
@@ -90,19 +93,6 @@ class RunManifest:
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-
-    def as_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "timestamp": self.timestamp,
-        }
-
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
 
 
 class _BadRow(Exception):
@@ -170,7 +160,7 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
     return PointTable(image_id, xy, cls, confidence, confidences)
 
 
-def _parse_csv(lines) -> PointTable:
+def _parse_csv(lines: io.TextIOBase) -> PointTable:
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -212,7 +202,12 @@ def _parse_csv(lines) -> PointTable:
         return _table(columns[0], xy, cls, confidences=values, no_vector=empty)
 
     def where(i: int) -> str:
-        return f"line {[n for n, row in enumerate(rows, start=2) if row][i]}"
+        # a quoted field may hold a line break, so the line each row starts
+        # on comes from reading the file's bytes again
+        lines.seek(0)
+        reader = csv.reader(lines)
+        ends = [reader.line_num for _ in reader]  # the last lines of the header and rows
+        return f"line {[end + 1 for end, row in zip(ends, rows) if row][i]}"
 
     return _checked(list(filter(None, rows)), build, where)
 
@@ -268,7 +263,9 @@ def _json_table(data: list) -> PointTable:
 def _parse_json(text: str) -> PointTable:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: bad syntax or an integer past the digit limit;
+    # RecursionError: arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise PointFileError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
         raise PointFileError("JSON point file must be an array of records")
@@ -276,22 +273,22 @@ def _parse_json(text: str) -> PointTable:
 
 
 def read_point_file(path: str) -> PointTable:
+    """The table of one file, read once: its ``digest`` hashes the bytes
+    that were parsed, and a byte that is not UTF-8 is named by its offset
+    in the file."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8-sig", newline="") as f:
-            if path.endswith(".json"):
-                return _parse_json(f.read())
-            return _parse_csv(f)
+        data.decode("utf-8")  # whole, so that an error's offset is the file's
     except UnicodeDecodeError as exc:
-        # the streaming decoder counts offsets from its last buffer, so the
-        # whole file is decoded again for the offset in the file
-        with open(path, "rb") as f:
-            try:
-                f.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
         raise PointFileError(
             f"byte offset {exc.start}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
         ) from None
+    # the parse decodes the bytes as it reads them: a StringIO of the decoded
+    # text would copy the file again at 4 bytes a character
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
+        table = _parse_json(lines.read()) if path.endswith(".json") else _parse_csv(lines)
+    return replace(table, digest=hashlib.sha256(data).hexdigest())
 
 
 def write_point_file(path: str, records: list[PointRecord]) -> None:

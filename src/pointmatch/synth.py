@@ -52,6 +52,12 @@ class PerturbationModel:
             raise ValueError("rates and sigma must be non-negative and finite")
         if not all(0 < x <= _MAX_COORD for x in self.extent):
             raise ValueError(f"extent must be positive, finite and at most {_MAX_COORD:g}")
+        # numpy's standard normal draws stay below 14 in magnitude, so a
+        # jittered point lies within 40 sigma of the extent
+        if max(self.extent) + 40 * self.jitter_sigma > _MAX_COORD:
+            raise ValueError(
+                f"extent + 40 * jitter sigma must be at most {_MAX_COORD:g} (--extent, --jitter)"
+            )
         if not self.class_ids:
             raise ValueError("at least one class id required")
         confusion = self.confusion

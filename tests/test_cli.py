@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -261,6 +262,18 @@ class TestMatch:
         assert code == 0
         assert len(strict_loads(out)["images"][0]["one_to_many"]["pairs"]) == 2
 
+    def test_beta_beyond_numpy_integers(self, golden_inputs, capsys):
+        # a ground truth cannot take more than the file's five proposals
+        gt, pred = str(golden_inputs / "fig_gt.csv"), str(golden_inputs / "match_pred.csv")
+        reports = []
+        for beta in ("5", "99999999999999999999"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code, out, err = run(capsys, "match", gt, pred, "--beta", beta)
+            assert code == 0, err
+            reports.append(strict_loads(out)["images"])
+        assert reports[0] == reports[1]
+
     def test_defaults_echoed_in_manifest(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("image_id,x,y,class_id\nim,10,10,1\n")
@@ -453,6 +466,56 @@ def test_golden_output(golden_inputs, capsys, name):
     if name.endswith(".json"):
         strict_loads(out)
     assert golden_run(capsys, golden_inputs, argv, str(golden_inputs / "report.out")) == out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "match"])
+def test_inputs_read_once_and_digested(golden_inputs, capsys, monkeypatch, command):
+    gt = str(golden_inputs / "fig_gt.csv")
+    pred = str(golden_inputs / ("match_pred.csv" if command == "match" else "fig_pred.csv"))
+    opened = []
+    builtin_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    code, out, err = run(capsys, command, gt, pred, "--format", "json")
+    monkeypatch.undo()
+    assert code == 0, err
+    assert (opened.count(gt), opened.count(pred)) == (1, 1)
+    assert strict_loads(out)["manifest"]["input_digests"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (gt, pred)
+    }
+
+
+# inputs that once ended in a traceback: each is refused with one error line
+# (an exception that escaped main would fail the test)
+@pytest.mark.parametrize("argv, code, message", [
+    (["evaluate", "{tmp}", "{tmp}"], 2, "Is a directory"),
+    (["compare", "{tmp}/fig_gt.csv/x.csv", "{tmp}/fig_pred.csv"], 2, "Not a directory"),
+    (["evaluate", "{tmp}/fig_gt.csv", "{tmp}/deep.json"], 2, "invalid JSON"),
+    (["match", "{tmp}/fig_gt.csv", "{tmp}/digits.json"], 2, "invalid JSON"),
+    (["evaluate", "{tmp}/multiline.csv", "{tmp}/fig_pred.csv"], 2,
+     "line 4: class_id must be >= 1"),
+    (["synth", "--jitter", "1e300"], 3, "(--extent, --jitter)"),
+    (["synth", "--extent", "1e100", "1e100", "--jitter", "1e99"], 3, "(--extent, --jitter)"),
+], ids=["directory", "not-a-directory", "nested-json", "long-integer-json", "multiline-csv",
+        "synth-jitter", "synth-extent-jitter"])
+def test_refused_without_traceback(golden_inputs, capsys, argv, code, message):
+    (golden_inputs / "deep.json").write_text("[" * 200_000)
+    (golden_inputs / "digits.json").write_text(
+        '[{"image_id": "a", "x": ' + "1" * 5000 + ', "y": 1, "class_id": 1}]')
+    (golden_inputs / "multiline.csv").write_text(
+        'image_id,x,y,class_id\n"a\nb",1,2,1\nc,1,2,0\n')
+    argv = [a.format(tmp=golden_inputs) for a in argv]
+    if argv[0] == "synth":
+        argv += ["--gt-out", str(golden_inputs / "g.csv"),
+                 "--pred-out", str(golden_inputs / "p.csv")]
+    returned, out, err = run(capsys, *argv)
+    assert (returned, out) == (code, "")
+    assert err.count("error:") == 1 and err.startswith("error: ") and message in err
+    assert not (golden_inputs / "g.csv").exists()
 
 
 @pytest.fixture(scope="module")

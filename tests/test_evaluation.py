@@ -302,7 +302,7 @@ class TestRawHungarianBatches:
             Protocol.RAW_HUNGARIAN: match_raw_hungarian,
             Protocol.GREEDY: match_greedy,
         }
-        totals = {cls: ClassCounts(cls) for cls in (1, 2)}
+        totals = {cls: np.zeros(3, dtype=int) for cls in (1, 2)}
         for protocol, match in single.items():
             assert counts[protocol].shape == (len(images), 2, 3)
             for i, image_id in enumerate(images):
@@ -314,8 +314,10 @@ class TestRawHungarianBatches:
                     )[cls]
                     assert ClassCounts(cls, *counts[protocol][i, j].tolist()) == alone
                     if protocol is Protocol.RAW_HUNGARIAN:
-                        totals[cls] += alone
-        assert [c for c, _ in report.per_class] == [totals[1], totals[2]]
+                        totals[cls] += (alone.tp, alone.fp, alone.fn)
+        assert [c for c, _ in report.per_class] == [
+            ClassCounts(cls, *totals[cls].tolist()) for cls in (1, 2)
+        ]
         raw = next(r for r in rows if r.protocol is Protocol.RAW_HUNGARIAN)
         assert raw.per_class_f1 == tuple((c.class_id, f1) for c, f1 in report.per_class)
 

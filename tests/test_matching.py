@@ -1,9 +1,12 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from pointmatch import matching
+from pointmatch.assignment import solve_min_cost
 from pointmatch.matching import (
     MatchConfig,
     MatchOutcome,
@@ -16,7 +19,7 @@ from pointmatch.matching import (
     regression_loss,
 )
 from pointmatch.pointfile import PointRecord, group_predicted, read_point_file, write_point_file
-from pointmatch.types import LabeledPoint, PredictedPoint, as_point_set
+from pointmatch.types import CostMatrix, LabeledPoint, PredictedPoint, as_point_set
 
 
 def random_scene(rng, n, m, num_classes=1, extent=50.0):
@@ -176,6 +179,30 @@ class TestMatchHybrid:
             _, one2many = match_hybrid(gts, preds, MatchConfig(beta=2))
         assert len(one2many.matched) == 3
         assert one2many.negatives == ()
+
+    def test_beta_above_proposals_gives_the_pairs_of_beta_rows(self, monkeypatch):
+        # integer costs tie often, which is where the lexicographic tie-break
+        # could tell M replicas from beta of them
+        rng = random.Random(5)
+        for _ in range(150):
+            m = rng.randint(1, 7)
+            n = rng.randint(0, m)
+            costs = np.array([[rng.randint(0, 2) for _ in range(m)] for _ in range(n)],
+                             dtype=float).reshape(n, m)
+            monkeypatch.setattr(matching, "build_cost_matrix", lambda *_: CostMatrix(costs))
+            gts = as_point_set([LabeledPoint(0, 0, 1)] * n)
+            preds = as_point_set([PredictedPoint(0, 0, (0.5, 0.5))] * m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for beta in range(m + 1, 3 * m + 1):
+                    solve = solve_min_cost(CostMatrix(np.repeat(costs, beta, axis=0)))
+                    _, one2many = match_hybrid(gts, preds, MatchConfig(beta=beta))
+                    assert one2many.matched == tuple(
+                        sorted((row // beta, col) for row, col in solve.pairs))
+                    assert one2many.negatives == solve.unmatched_cols
+                # so is a beta past numpy's integers, which np.repeat refuses
+                assert match_hybrid(gts, preds, MatchConfig(beta=10**20)) == match_hybrid(
+                    gts, preds, MatchConfig(beta=m))
 
     def test_proposal_used_at_most_once(self):
         rng = random.Random(3)

@@ -3,7 +3,6 @@ import pytest
 from pointmatch.pointfile import (
     PointFileError,
     PointRecord,
-    file_digest,
     group_labeled,
     group_predicted,
     read_point_file,
@@ -70,7 +69,8 @@ class TestRoundTrip:
         p2 = str(tmp_path / "two.csv")
         write_point_file(p1, records)
         write_point_file(p2, records)
-        assert file_digest(p1) == file_digest(p2)
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+        assert read_point_file(p1).digest == read_point_file(p2).digest
 
 
 class TestParseErrors:
@@ -87,6 +87,10 @@ class TestParseErrors:
         path = tmp_path / "bad.csv"
         path.write_text("image_id,x,y,class_id\nim,1,2,0\n")
         with pytest.raises(PointFileError, match="class_id must be >= 1"):
+            read_point_file(str(path))
+        # a quoted image_id spanning lines 2-3 puts the faulty row on line 4
+        path.write_text('image_id,x,y,class_id\n"a\nb",1,2,1\nc,1,2,0\n')
+        with pytest.raises(PointFileError, match="line 4: class_id must be >= 1"):
             read_point_file(str(path))
 
     def test_non_numeric_with_line_number(self, tmp_path):
