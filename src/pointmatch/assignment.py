@@ -30,7 +30,30 @@ def _finish(pairs, rows, cols) -> Assignment:
     )
 
 
-def _shortest_augmenting_path(a: np.ndarray):
+# padded elements (problems x rows x columns) of one block of min-cost
+# problems or evaluation cells; bounds the float block and the boolean arrays
+# of its shape held at once
+BLOCK_ELEMENTS = 1 << 17
+
+
+def block_batches(items, sides):
+    """Consecutive runs of ``items`` whose padded block holds at most
+    BLOCK_ELEMENTS elements: with ``sides(item)`` an item's (n, m), a run of
+    B items takes B x (largest min(n, m)) x (largest max(n, m)), a side of 0
+    counting as 1. An item over the budget is a run of its own."""
+    batch, rows, cols = [], 1, 1
+    for item in items:
+        n, m = sorted(sides(item))
+        if batch and (len(batch) + 1) * max(rows, n) * max(cols, m) > BLOCK_ELEMENTS:
+            yield batch
+            batch, rows, cols = [], 1, 1
+        batch.append(item)
+        rows, cols = max(rows, n), max(cols, m)
+    if batch:
+        yield batch
+
+
+def _serial_sap(a: np.ndarray):
     """Rectangular shortest augmenting path for an (n, m) matrix, n <= m.
 
     Jonker & Volgenant 1987 in the rectangular form of Crouse 2016. A row
@@ -38,10 +61,10 @@ def _shortest_augmenting_path(a: np.ndarray):
     in order, its first cheapest column along a tight edge if that column is
     still free. Each row left over then runs Dijkstra over reduced costs to
     the nearest free column, so no dummy rows are built and the work is
-    O(n^2 m). Returns (col4row, u, v, unique) where row i is assigned column
-    col4row[i], the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to float
-    error) with equality on assigned pairs, v <= 0, and v[j] < 0 only for
-    assigned columns, and ``unique`` is ``_unique_optimum``'s flag.
+    O(n^2 m). Returns (col4row, u, v) where row i is assigned column
+    col4row[i], and the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to
+    float error) with equality on assigned pairs, v <= 0, and v[j] < 0 only
+    for assigned columns.
     """
     n, m = a.shape
     u = a.min(axis=1)
@@ -92,30 +115,35 @@ def _shortest_augmenting_path(a: np.ndarray):
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    col4row = np.array(col4row, dtype=np.int64)
-    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
-    return col4row, u, v, bool(unique)
+    return np.array(col4row, dtype=np.int64), u, v
 
 
-def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
-    """``_shortest_augmenting_path`` of every matrix of ``mats``, in lockstep.
+def stack_padded(arrays, fill: float) -> np.ndarray:
+    """Arrays with the same number of dimensions, stacked into one array of
+    their largest shape: each in the corner of its slice, ``fill`` around
+    it."""
+    out = np.full((len(arrays), *np.max([a.shape for a in arrays], axis=0)), fill)
+    for b, a in enumerate(arrays):
+        out[(b, *map(slice, a.shape))] = a
+    return out
 
-    The matrices (each n <= m) are padded with +inf into one (B, N, M)
-    block: an inf column is never reached and an inf row never searched.
-    Each round advances every unfinished search by one Dijkstra step, with
-    numpy operations on the (K, M) arrays of the K problems still searching.
-    A search that reaches a free column updates its duals, flips its path
-    and starts its problem's next free row; a problem with none left is
-    dropped from those arrays. Every element goes through the serial loop's
-    arithmetic in the same order and ties break the same way, so each
-    problem's (col4row, u, v, unique) is bit-identical to the serial loop's.
+
+def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
+    """``_serial_sap`` of every problem of a (B, N, M) block, in lockstep.
+
+    Problem b is the matrix in the corner of ``a_all[b]``, of ``n_of[b]``
+    rows and no fewer columns, padded with +inf: an inf column is never
+    reached and an inf row never searched. Each round advances every
+    unfinished search by one Dijkstra step, with numpy operations on the
+    (K, M) arrays of the K problems still searching. A search that reaches a
+    free column updates its duals, flips its path and starts its problem's
+    next free row; a problem with none left is dropped from those arrays.
+    Every element goes through the serial loop's arithmetic in the same order
+    and ties break the same way, so each problem's (col4row, u, v), returned
+    as (B, N), (B, N) and (B, M) arrays, is bit-identical to the serial
+    loop's.
     """
-    shapes = [a.shape for a in mats]
-    n_of = np.array([n for n, _ in shapes])
-    b_all, n_max, m_max = len(mats), int(n_of.max()), max(m for _, m in shapes)
-    a_all = np.full((b_all, n_max, m_max), np.inf)
-    for b, a in enumerate(mats):
-        a_all[b, : a.shape[0], : a.shape[1]] = a
+    b_all, n_max, m_max = a_all.shape
     real = np.arange(n_max) < n_of[:, None]
     # a padded row is never searched; u = 0 keeps its reduced costs +inf
     u_all = np.where(real, a_all.min(axis=2), 0.0)
@@ -210,12 +238,24 @@ def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
             pid, cur, row, lowest = pid[keep], cur[keep], row[keep], lowest[keep]
             cand, todo, pred, dist = cand[keep], todo[keep], pred[keep], dist[keep]
             u, v, c4r, r4c, free = u[keep], v[keep], c4r[keep], r4c[keep], free[keep]
-    # a_all is not needed any more: the flag overwrites it
-    unique = _unique_optimum(a_all, u_all, v_all, c4r_all).tolist()
-    return [
-        (c4r_all[b, :n], u_all[b, :n], v_all[b, :m], unique[b])
-        for b, (n, m) in enumerate(shapes)
-    ]
+    return c4r_all, u_all, v_all
+
+
+def _shortest_augmenting_path(a: np.ndarray):
+    """``_serial_sap`` of one matrix with ``_unique_optimum``'s flag of its
+    solution, as (col4row, u, v, unique)."""
+    col4row, u, v = _serial_sap(a)
+    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
+    return col4row, u, v, bool(unique)
+
+
+def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
+    """``_shortest_augmenting_path`` of every matrix of ``mats`` (each
+    n <= m), solved in lockstep in one block."""
+    block = stack_padded(mats, np.inf)
+    c4r, u, v = _lockstep(block, np.array([len(a) for a in mats]))
+    unique = _unique_optimum(block, u, v, c4r).tolist()
+    return [(c4r[b, :n], u[b, :n], v[b, :m], unique[b]) for b, (n, m) in enumerate(map(np.shape, mats))]
 
 
 def _unique_optimum(a, u, v, col4row) -> np.ndarray:
@@ -368,19 +408,14 @@ def _lex_refine(adj, match_row, match_col, n_lex=None, shared=(), joins=()):
     return [(i, c) for i, c in enumerate(match_row[:n_lex]) if c != -1]
 
 
-def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
-    """The lexicographically smallest optimal assignment of ``costs``, from
-    the solution and duals the shortest augmenting path found for it (for
-    its transpose when it has more rows than columns). When ``unique`` (no
-    other optimum exists) that is the solution itself."""
-    n_rows, n_cols = costs.rows, costs.cols
-    transposed = n_rows > n_cols
+def _refine(tight: np.ndarray, col4row: np.ndarray, u, v, transposed: bool) -> np.ndarray:
+    """The col4row of the lexicographically smallest optimal assignment of a
+    solved n x m problem, n <= m, with solution ``col4row`` and duals u, v;
+    ``tight`` marks its admissible edges (reduced cost within TIE_TOL of 0).
+    Smallest is in the pair list of the problem's matrix, or of its
+    transpose if ``transposed`` (a matrix with more rows than columns)."""
+    n_rows, n_cols = tight.shape[::-1] if transposed else tight.shape
     pairs = [(j, i) if transposed else (i, j) for i, j in enumerate(col4row.tolist())]
-    if unique:
-        return _finish(pairs, n_rows, n_cols)
-    # the reduced costs as _unique_optimum computes them, so both see the
-    # same admissible edges
-    tight = (costs.values.T if transposed else costs.values) - u[:, None] - v[None, :] <= TIE_TOL
     if transposed:
         tight, u, v = tight.T, v, u
     n = max(n_rows, n_cols)
@@ -391,12 +426,12 @@ def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
         match_col[c] = r
     # Padded to n x n with zero-cost dummy rows (N < M) or columns (N > M)
     # of dual 0, the optimal solutions are exactly the perfect matchings on
-    # admissible edges (reduced cost within TIE_TOL of 0). A dummy is
-    # admissible against every real line of zero dual, so all dummy rows
-    # reach one shared list of zero-dual columns, and all zero-dual rows
-    # reach one shared list of dummy columns: no dummy edges are built. A
-    # line of negative dual thus stays matched to a real one, as optimality
-    # requires. The refinement stops after the last real row.
+    # admissible edges. A dummy is admissible against every real line of
+    # zero dual, so all dummy rows reach one shared list of zero-dual
+    # columns, and all zero-dual rows reach one shared list of dummy columns:
+    # no dummy edges are built. A line of negative dual thus stays matched to
+    # a real one, as optimality requires. The refinement stops after the last
+    # real row.
     adj = _adjacency(*np.nonzero(tight), n)
     if transposed:
         shared = list(range(n_cols, n))
@@ -412,27 +447,78 @@ def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
     for r, c in zip(free_rows, free_cols):
         match_row[r] = c
         match_col[c] = r
-    pairs = _lex_refine(adj, match_row, match_col, n_rows, shared, joins)
-    return _finish([(r, c) for r, c in pairs if c < n_cols], n_rows, n_cols)
+    refined = np.empty_like(col4row)
+    for r, c in _lex_refine(adj, match_row, match_col, n_rows, shared, joins):
+        if c < n_cols:
+            refined[c if transposed else r] = r if transposed else c
+    return refined
+
+
+def min_cost_block(a_all: np.ndarray, n_of, m_of, transposed) -> np.ndarray:
+    """The col4row, as a (B, N) array with -1 on padded rows, of each
+    problem's lexicographically smallest optimal assignment, for a (B, N, M)
+    block padded with +inf. Problem b is the ``n_of[b]`` x ``m_of[b]``
+    matrix (n <= m) in the corner of ``a_all[b]``; where ``transposed[b]``
+    it is the transpose of the matrix whose pair list the tie-break orders.
+
+    The serial loop solves a block of one problem, the lockstep a larger
+    one; both give the same duals. ``_unique_optimum`` then overwrites
+    ``a_all`` with the reduced costs. A solution with no other optimum is
+    returned as it is; only the others run the refinement, on the admissible
+    edges of their reduced costs.
+    """
+    b_all, n_max, _ = a_all.shape
+    if not n_max:  # no row to assign, and perhaps no column to reduce over
+        return np.zeros((b_all, 0), dtype=np.int64)
+    if b_all == 1:
+        c4r, u, v = (x[None] for x in _serial_sap(a_all[0]))
+    else:
+        c4r, u, v = _lockstep(a_all, n_of)
+    unique = _unique_optimum(a_all, u, v, c4r)
+    for b in np.flatnonzero(~unique).tolist():
+        n, m = n_of[b], m_of[b]
+        tight = a_all[b, :n, :m] <= TIE_TOL
+        c4r[b, :n] = _refine(tight, c4r[b, :n], u[b, :n], v[b, :m], transposed[b])
+    return c4r
+
+
+def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
+    """``min_cost_block``'s assignment of one matrix, from the solution and
+    duals the shortest augmenting path found for it (for its transpose when
+    it has more rows than columns): refined unless ``unique``."""
+    transposed = costs.rows > costs.cols
+    if not unique:
+        values = costs.values.T if transposed else costs.values
+        col4row = _refine(values - u[:, None] - v[None, :] <= TIE_TOL, col4row, u, v, transposed)
+    return _finish(_pairs(col4row.tolist(), transposed), costs.rows, costs.cols)
+
+
+def _pairs(col4row, transposed: bool) -> list[tuple[int, int]]:
+    """The (row, col) pairs of a solution of a matrix or of its transpose."""
+    return [(j, i) if transposed else (i, j) for i, j in enumerate(col4row) if j >= 0]
 
 
 def solve_min_cost_batch(costs: Sequence[CostMatrix]) -> list[Assignment]:
     """``solve_min_cost`` of each matrix, in order.
 
-    One non-empty matrix runs the serial shortest augmenting path; several
-    run it in lockstep, one numpy round per Dijkstra step of all of them.
-    Both give the same duals, so the choice never changes a pair list. Only
-    the matrices with another optimum run the lexicographic refinement.
+    The matrices, each with its smaller side as rows, are padded into blocks
+    of at most BLOCK_ELEMENTS elements (``block_batches``) and each block is
+    solved by ``min_cost_block``: the serial shortest augmenting path for a
+    block of one matrix, in lockstep for more, one numpy round per Dijkstra
+    step of all of them. Both give the same duals, so the batching never
+    changes a pair list.
     """
-    oriented = [c.values.T if c.rows > c.cols else c.values for c in costs if c.rows and c.cols]
-    if len(oriented) > 1:
-        solved = iter(_lockstep_sap(oriented))
-    else:
-        solved = map(_shortest_augmenting_path, oriented)
-    return [
-        _min_cost_pairs(c, *next(solved)) if c.rows and c.cols else _finish([], c.rows, c.cols)
-        for c in costs
-    ]
+    out = []
+    for batch in block_batches(costs, lambda c: c.values.shape):
+        flip = [c.rows > c.cols for c in batch]
+        mats = [c.values.T if f else c.values for c, f in zip(batch, flip)]
+        n_of, m_of = np.array([a.shape for a in mats]).T
+        col4row = min_cost_block(stack_padded(mats, np.inf), n_of, m_of, flip)
+        out += [
+            _finish(_pairs(c4r, f), c.rows, c.cols)
+            for c, f, c4r in zip(batch, flip, col4row.tolist())
+        ]
+    return out
 
 
 def solve_min_cost(costs: CostMatrix) -> Assignment:

@@ -3,13 +3,18 @@ and the two flawed protocols it supersedes (raw-distance Hungarian and
 greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
-match a ground truth of the same class. Images are ``PointSet`` columns, and
-each (image, class) cell's distance matrix is built once and shared by every
-protocol scored, all three under ``compare_protocols``. The cells stream, in
-sorted-image then class order, through ``score_cells`` in chunks of at most
-``CELL_BATCH``: one min-cost call for a chunk's raw-Hungarian solves, and one
-maximum matching over the union of its radius graphs for the matched
-protocol. Counts come back as arrays of TP, FP and FN.
+match a ground truth of the same class. Images are ``PointSet`` columns and
+evaluation is a stream of (image, class) cells, in sorted-image then class
+order, that ``block_batches`` cuts into batches of at most
+``BLOCK_ELEMENTS`` padded distances; a cell over that budget is a batch of
+its own. ``score_cells`` builds a batch's distances once, as one padded
+(B, N, M) block with each cell's smaller side as rows, and scores it under
+every protocol requested, all three under ``compare_protocols``: one
+min-cost solve of the block for raw Hungarian, and one maximum matching
+over its entries within the radius for the matched protocol, whose edges
+greedy reads too. Every protocol reads a cell's dense N x M distances, so
+memory stays O(N * M) per cell. Counts come back as arrays of TP, FP and
+FN.
 """
 
 from __future__ import annotations
@@ -18,17 +23,11 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .assignment import max_matching_edges, solve_min_cost_batch
-from .types import CostMatrix, Points, as_point_set, distance_matrix
-
-
-# (image, class) cells scored per batch; bounds the distance matrices and
-# radius graphs held at once
-CELL_BATCH = 64
+from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
+from .types import Points, as_point_set, distance_matrix
 
 
 class Protocol(str, enum.Enum):
@@ -80,75 +79,81 @@ def f1_from_counts(counts: ClassCounts) -> float:
     return counts.tp / denom
 
 
-def _cell(gts: np.ndarray, preds: np.ndarray, radius: float, raw: bool, edges: bool):
-    """One (image, class) cell as (n, m, distance matrix, edge rows, edge
-    cols): the matrix is kept only for raw Hungarian, and the edges within
-    the radius only for matched and greedy. Built here rather than in the
-    generator, whose frame would otherwise hold the previous cell's matrix
-    while the next one is built."""
-    dist = distance_matrix(gts, preds)
-    rows, cols = np.nonzero(dist <= radius) if edges else (None, None)
-    return (*dist.shape, dist if raw else None, rows, cols)
-
-
-def _cells(gt_by_image, pred_by_image, images, class_ids, radius, protocols):
-    """The (image, class) cells of ``images`` in order, classes in
-    ``class_ids`` order within an image."""
-    raw = Protocol.RAW_HUNGARIAN in protocols
-    edges = Protocol.MATCHED in protocols or Protocol.GREEDY in protocols
+def _cells(gt_by_image, pred_by_image, images, class_ids):
+    """The (ground-truth xy, prediction xy) of the (image, class) cells of
+    ``images`` in order, classes in ``class_ids`` order within an image."""
     empty = as_point_set(())
     for image_id in images:
         gts = as_point_set(gt_by_image.get(image_id, empty))
         preds = as_point_set(pred_by_image.get(image_id, empty))
         for cls in class_ids:
-            yield _cell(gts.xy[gts.cls == cls], preds.xy[preds.cls == cls], radius, raw, edges)
+            yield gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]
 
 
 def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Protocol, np.ndarray]:
-    """TP, FP and FN of each cell under each protocol, a (k, 3) array per
-    protocol. One min-cost call solves every raw-Hungarian cell; one maximum
-    matching over the union of the cells' radius graphs scores matched, and
-    greedy reads the same edges."""
-    n, m, dists, rows, cols = zip(*cells)
-    n, m = np.array(n, dtype=np.int64), np.array(m, dtype=np.int64)
+    """TP, FP and FN of each (gt xy, pred xy) cell under each protocol, a
+    (k, 3) array per protocol.
+
+    The cells' distances form one (k, N, M) block, each cell with its
+    smaller side as rows. Row points are padded with +inf and column points
+    with -inf, so every padded distance is +inf. One ``min_cost_block`` call
+    solves every raw-Hungarian cell; the entries within the radius are the
+    edges of one block-diagonal graph, whose maximum matching scores matched
+    and which greedy reads.
+    """
+    n = np.array([len(g) for g, _ in cells], dtype=np.int64)
+    m = np.array([len(p) for _, p in cells], dtype=np.int64)
     k = len(n)
+    flip = n > m
+    rows, cols = np.minimum(n, m), np.maximum(n, m)
+    block = distance_matrix(
+        stack_padded([p if f else g for (g, p), f in zip(cells, flip)], np.inf),
+        stack_padded([g if f else p for (g, p), f in zip(cells, flip)], -np.inf),
+    )
+    within = block <= radius
     tp, fn = {}, {}
     if Protocol.RAW_HUNGARIAN in protocols:
-        hits = []
-        for d, solved in zip(dists, solve_min_cost_batch([CostMatrix(d) for d in dists])):
-            pairs = np.array(solved.pairs, dtype=np.int64).reshape(-1, 2)
-            hits.append(np.count_nonzero(d[pairs[:, 0], pairs[:, 1]] <= radius))
-        tp[Protocol.RAW_HUNGARIAN] = np.array(hits, dtype=np.int64)
+        # overwrites the block with reduced costs; ``within`` was taken before
+        col4row = min_cost_block(block, rows, cols, flip)
+        pb, pr = np.nonzero(col4row >= 0)
+        hit = within[pb, pr, col4row[pb, pr]]
+        tp[Protocol.RAW_HUNGARIAN] = np.bincount(pb[hit], minlength=k)
     if Protocol.MATCHED in protocols or Protocol.GREEDY in protocols:
-        # the cells' radius graphs as one block-diagonal graph
+        # the radius edges as one block-diagonal graph of ground-truth rows
+        # and prediction columns, sorted by row, then column
+        eb, er, ec = np.nonzero(within)
+        gt, pred = np.where(flip[eb], ec, er), np.where(flip[eb], er, ec)
+        gt += (np.cumsum(n) - n)[eb]
+        pred += (np.cumsum(m) - m)[eb]
+        order = np.lexsort((pred, gt))
+        gt, pred = gt[order], pred[order]
         cell_of_row = np.repeat(np.arange(k), n)
         cell_of_col = np.repeat(np.arange(k), m)
-        rows = np.concatenate([r + o for r, o in zip(rows, np.cumsum(n) - n)])
-        cols = np.concatenate([c + o for c, o in zip(cols, np.cumsum(m) - m)])
         if Protocol.MATCHED in protocols:
-            matched, _ = max_matching_edges(rows, cols)
+            matched, _ = max_matching_edges(gt, pred)
             tp[Protocol.MATCHED] = np.bincount(cell_of_row[matched], minlength=k)
         if Protocol.GREEDY in protocols:
             # every prediction with an edge is a hit, every ground truth
             # without one a miss
-            tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(cols)], minlength=k)
-            fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(rows)], minlength=k)
+            tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(pred)], minlength=k)
+            fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(gt)], minlength=k)
     return {p: np.stack([tp[p], m - tp[p], fn.get(p, n - tp[p])], axis=1) for p in protocols}
 
 
 def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[Protocol, np.ndarray]:
     """TP, FP and FN per protocol as an (images, classes, 3) array, images
-    being the union of image ids in sorted order. Cells are scored
-    ``CELL_BATCH`` at a time."""
+    being the union of image ids in sorted order. Cells are scored in
+    batches of at most BLOCK_ELEMENTS padded distances (``block_batches``)."""
     images = sorted(set(gt_by_image) | set(pred_by_image))
-    cells = _cells(gt_by_image, pred_by_image, images, class_ids, radius, protocols)
-    total = len(images) * len(class_ids)
-    counts = {p: np.zeros((total, 3), dtype=np.int64) for p in protocols}
-    for start in range(0, total, CELL_BATCH):
-        scored = score_cells(list(islice(cells, CELL_BATCH)), radius, protocols)
+    cells = _cells(gt_by_image, pred_by_image, images, class_ids)
+    counts = {p: [np.zeros((0, 3), dtype=np.int64)] for p in protocols}
+    for batch in block_batches(cells, lambda cell: map(len, cell)):
+        scored = score_cells(batch, radius, protocols)
         for p in protocols:
-            counts[p][start : start + CELL_BATCH] = scored[p]
-    return {p: c.reshape(len(images), len(class_ids), 3) for p, c in counts.items()}
+            counts[p].append(scored[p])
+    return {
+        p: np.concatenate(c).reshape(len(images), len(class_ids), 3) for p, c in counts.items()
+    }
 
 
 def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -263,10 +264,15 @@ def _json_table(data: list) -> PointTable:
 def _parse_json(text: str) -> PointTable:
     try:
         data = json.loads(text)
-    # ValueError: bad syntax or an integer past the digit limit;
     # RecursionError: arrays or objects nested too deeply
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PointFileError(f"invalid JSON: {exc}") from None
+    # the one other ValueError: int() refusing a literal past the
+    # interpreter's digit limit
+    except ValueError:
+        raise PointFileError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(data, list):
         raise PointFileError("JSON point file must be an array of records")
     return _checked(data, _json_table, lambda i: f"record {i}")

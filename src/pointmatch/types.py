@@ -96,10 +96,32 @@ def as_point_set(points: Points) -> PointSet:
     return PointSet(xy, np.array([p.class_id for p in points], dtype=np.int64))
 
 
+# elements of a distance matrix whose squared y offsets are added at once
+_DY_CHUNK = 1 << 14
+
+
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of two (n, 2) and (m, 2)
-    coordinate arrays, shape n x m."""
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    """Euclidean distances between the points of an (..., n, 2) and an
+    (..., m, 2) coordinate array of equal leading shape, shape (..., n, m).
+
+    Each distance is sqrt(dx * dx + dy * dy), the arithmetic of
+    ``np.linalg.norm(a[..., :, None, :] - b[..., None, :, :], axis=-1)``, so
+    the two agree bit for bit. The result is the only array of its size:
+    dy * dy is added to it in chunks of rows.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n, m = a.shape[-2], b.shape[-2]
+    d = np.subtract(a[..., :, None, 0], b[..., None, :, 0], order="C")
+    d *= d
+    if d.size:
+        rows = d.reshape(-1, m)
+        ay, by = a[..., 1].reshape(-1, 1), b[..., 1].reshape(-1, m)
+        step = max(1, _DY_CHUNK // m)
+        for lo in range(0, len(rows), step):
+            dy = ay[lo : lo + step] - by[np.arange(lo, min(lo + step, len(rows))) // n]
+            dy *= dy
+            rows[lo : lo + step] += dy
+    return np.sqrt(d, out=d)
 
 
 class CostMatrix:

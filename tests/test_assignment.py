@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pointmatch.assignment import (
     max_matching_edges,
     solve_max_matching,
     solve_min_cost,
+    solve_min_cost_batch,
 )
 from pointmatch.types import Assignment, BoolMatrix, CostMatrix
 
@@ -436,6 +438,22 @@ def test_tie_is_not_flagged(values):
     a = np.array(values)
     for solved in (_shortest_augmenting_path(a), _lockstep_sap([a, a])[0]):
         assert solved[3] is False
+
+
+def test_batch_with_one_large_matrix_pads_no_small_one():
+    # one 600 x 600 matrix among 63 small ones, some of them transposed or
+    # empty: padding every matrix to its shape would take 184 MB
+    rng = np.random.default_rng(3)
+    shapes = [(5, 5), (5, 3), (3, 5), (0, 4)] * 10 + [(600, 600)] + [(5, 5)] * 23
+    mats = [CostMatrix(rng.integers(0, 20, shape).astype(float)) for shape in shapes]
+    tracemalloc.start()
+    try:
+        batched = solve_min_cost_batch(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+    assert batched == [solve_min_cost(cm) for cm in mats]
 
 
 def _sparse_cell(rows, cols, density, seed):

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pointmatch import evaluation
+from pointmatch import assignment, evaluation
 from pointmatch._oracle import brute_force_max_matching
+from pointmatch.assignment import solve_min_cost
 from pointmatch.evaluation import (
     Aggregate,
     ClassCounts,
@@ -19,7 +21,7 @@ from pointmatch.evaluation import (
     match_thresholded,
 )
 from pointmatch.synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
-from pointmatch.types import BoolMatrix, LabeledPoint, PredictedPoint
+from pointmatch.types import BoolMatrix, CostMatrix, LabeledPoint, PointSet, PredictedPoint
 
 
 def pt(x, y, cls=1):
@@ -255,8 +257,12 @@ class TestCompareProtocols:
 
 
 class TestRawHungarianBatches:
-    """(image, class) cells are scored in batches of CELL_BATCH under every
-    protocol; the counts must be those of scoring each cell on its own."""
+    """(image, class) cells are scored in batches of at most BLOCK_ELEMENTS
+    padded distances under every protocol; the counts must be those of
+    scoring each cell on its own."""
+
+    # a budget that splits the dataset's 158 small cells into several batches
+    BUDGET = 2_000
 
     def _dataset(self):
         rng = random.Random(64)
@@ -276,15 +282,29 @@ class TestRawHungarianBatches:
                 pred_by_image[f"im{k:02d}"] = preds
         return gt_by_image, pred_by_image
 
+    def _record_batches(self, monkeypatch):
+        """The (cells, padded elements) of each batch scored from now on."""
+        monkeypatch.setattr(assignment, "BLOCK_ELEMENTS", self.BUDGET)
+        batches = []
+        scored = evaluation.score_cells
+
+        def record(cells, radius, protocols):
+            rows, cols = zip(*(sorted((len(g), len(p))) for g, p in cells))
+            batches.append((len(cells), len(cells) * max(1, *rows) * max(1, *cols)))
+            return scored(cells, radius, protocols)
+
+        monkeypatch.setattr(evaluation, "score_cells", record)
+        return batches
+
+    def _assert_within_budget(self, batches, runs, cells):
+        assert all(size <= self.BUDGET for _, size in batches)
+        assert sum(n for n, _ in batches) == runs * cells
+        assert len(batches) >= 2 * runs
+
     def test_counts_equal_per_cell_solves(self, monkeypatch):
         gt_by_image, pred_by_image = self._dataset()
         images = sorted(set(gt_by_image) | set(pred_by_image))
-        sizes = []
-        batched = evaluation.solve_min_cost_batch
-        monkeypatch.setattr(
-            evaluation, "solve_min_cost_batch",
-            lambda costs: sizes.append(len(costs)) or batched(costs),
-        )
+        batches = self._record_batches(monkeypatch)
         counts = evaluation._evaluate(
             gt_by_image, pred_by_image, 6.0, (1, 2), tuple(Protocol)
         )
@@ -294,7 +314,7 @@ class TestRawHungarianBatches:
             EvalConfig(radius=6.0, protocol=Protocol.RAW_HUNGARIAN, class_ids=(1, 2)),
         )
         assert len(images) == 79
-        assert sizes == 3 * [64, 64, 2 * len(images) - 128]
+        self._assert_within_budget(batches, 3, 2 * len(images))
         monkeypatch.undo()
 
         single = {
@@ -323,16 +343,36 @@ class TestRawHungarianBatches:
 
     def test_matched_only_streams_in_cell_batches(self, monkeypatch):
         gt_by_image, pred_by_image = self._dataset()
-        sizes = []
-        scored = evaluation.score_cells
-        monkeypatch.setattr(
-            evaluation, "score_cells",
-            lambda cells, radius, protocols: sizes.append(len(cells))
-            or scored(cells, radius, protocols),
-        )
+        batches = self._record_batches(monkeypatch)
         evaluate_dataset(gt_by_image, pred_by_image, EvalConfig(radius=6.0, class_ids=(1, 2)))
         # 79 images x 2 classes
-        assert sizes == [64, 64, 30]
+        self._assert_within_budget(batches, 1, 158)
+
+
+def test_one_large_cell_does_not_pad_the_small_ones():
+    # 63 five-point cells and one 600 x 600 cell: padding every cell to the
+    # large one's shape would take 64 x 600 x 600 floats (184 MB)
+    rng = np.random.default_rng(12)
+    gt_by_image, pred_by_image = {}, {}
+    for k in range(64):
+        n, extent = (600, 300.0) if k == 40 else (5, 20.0)
+        for side in (gt_by_image, pred_by_image):
+            side[f"im{k:02d}"] = PointSet(rng.uniform(0, extent, (n, 2)), np.ones(n, np.int64))
+    tracemalloc.start()
+    try:
+        counts = evaluation._evaluate(
+            gt_by_image, pred_by_image, 6.0, (1,), (Protocol.RAW_HUNGARIAN,)
+        )[Protocol.RAW_HUNGARIAN]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+    for k, image_id in enumerate(sorted(gt_by_image)):
+        gts, preds = gt_by_image[image_id].xy, pred_by_image[image_id].xy
+        dist = np.linalg.norm(gts[:, None] - preds[None], axis=2)
+        pairs = np.array(solve_min_cost(CostMatrix(dist)).pairs)
+        tp = int(np.count_nonzero(dist[pairs[:, 0], pairs[:, 1]] <= 6.0))
+        assert counts[k, 0].tolist() == [tp, len(preds) - tp, len(gts) - tp]
 
 
 def test_config_validation():

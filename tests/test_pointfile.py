@@ -117,6 +117,13 @@ class TestParseErrors:
         with pytest.raises(PointFileError):
             read_point_file(str(path))
 
+    def test_long_json_integer(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('[{"image_id": "a", "x": ' + "1" * 5000 + ', "y": 1, "class_id": 1}]')
+        with pytest.raises(PointFileError) as refused:
+            read_point_file(str(path))
+        assert str(refused.value) == "invalid JSON: an integer has more than 4300 digits"
+
 
 class TestGrouping:
     def test_group_labeled(self, tmp_path):
