@@ -241,23 +241,6 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     return c4r_all, u_all, v_all
 
 
-def _shortest_augmenting_path(a: np.ndarray):
-    """``_serial_sap`` of one matrix with ``_unique_optimum``'s flag of its
-    solution, as (col4row, u, v, unique)."""
-    col4row, u, v = _serial_sap(a)
-    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
-    return col4row, u, v, bool(unique)
-
-
-def _lockstep_sap(mats: list[np.ndarray]) -> list[tuple]:
-    """``_shortest_augmenting_path`` of every matrix of ``mats`` (each
-    n <= m), solved in lockstep in one block."""
-    block = stack_padded(mats, np.inf)
-    c4r, u, v = _lockstep(block, np.array([len(a) for a in mats]))
-    unique = _unique_optimum(block, u, v, c4r).tolist()
-    return [(c4r[b, :n], u[b, :n], v[b, :m], unique[b]) for b, (n, m) in enumerate(map(np.shape, mats))]
-
-
 def _unique_optimum(a, u, v, col4row) -> np.ndarray:
     """Per problem of a (B, N, M) block of solved matrices (each n <= m,
     padded with +inf), whether its admissible graph (reduced cost within
@@ -415,7 +398,7 @@ def _refine(tight: np.ndarray, col4row: np.ndarray, u, v, transposed: bool) -> n
     Smallest is in the pair list of the problem's matrix, or of its
     transpose if ``transposed`` (a matrix with more rows than columns)."""
     n_rows, n_cols = tight.shape[::-1] if transposed else tight.shape
-    pairs = [(j, i) if transposed else (i, j) for i, j in enumerate(col4row.tolist())]
+    pairs = _pairs(col4row.tolist(), transposed)
     if transposed:
         tight, u, v = tight.T, v, u
     n = max(n_rows, n_cols)
@@ -480,17 +463,6 @@ def min_cost_block(a_all: np.ndarray, n_of, m_of, transposed) -> np.ndarray:
         tight = a_all[b, :n, :m] <= TIE_TOL
         c4r[b, :n] = _refine(tight, c4r[b, :n], u[b, :n], v[b, :m], transposed[b])
     return c4r
-
-
-def _min_cost_pairs(costs: CostMatrix, col4row, u, v, unique) -> Assignment:
-    """``min_cost_block``'s assignment of one matrix, from the solution and
-    duals the shortest augmenting path found for it (for its transpose when
-    it has more rows than columns): refined unless ``unique``."""
-    transposed = costs.rows > costs.cols
-    if not unique:
-        values = costs.values.T if transposed else costs.values
-        col4row = _refine(values - u[:, None] - v[None, :] <= TIE_TOL, col4row, u, v, transposed)
-    return _finish(_pairs(col4row.tolist(), transposed), costs.rows, costs.cols)
 
 
 def _pairs(col4row, transposed: bool) -> list[tuple[int, int]]:

@@ -341,6 +341,8 @@ def cmd_synth(args) -> int:
         image_id = "figure3"
         gts, preds = synth.figure3_fixture()
     else:
+        if args.num_classes > synth.SIZE_LIMIT:  # before the class ids are built
+            raise ConfigError(f"--num-classes must be at most {synth.SIZE_LIMIT:g}")
         model = synth.PerturbationModel(
             seed=args.seed,
             jitter_sigma=args.jitter,

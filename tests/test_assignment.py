@@ -11,21 +11,43 @@ from hypothesis import strategies as st
 from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
+    TIE_TOL,
     _adjacency,
     _lex_refine,
-    _lockstep_sap,
-    _min_cost_pairs,
-    _shortest_augmenting_path,
+    _lockstep,
+    _refine,
+    _serial_sap,
+    _unique_optimum,
     max_matching_edges,
+    min_cost_block,
     solve_max_matching,
     solve_min_cost,
     solve_min_cost_batch,
+    stack_padded,
 )
 from pointmatch.types import Assignment, BoolMatrix, CostMatrix
 
 
 def cost_of(values, assignment):
     return assignment.total_cost(CostMatrix(values))
+
+
+def _serial_solve(a):
+    """``_serial_sap`` of one matrix (n <= m) and ``_unique_optimum``'s flag
+    of its solution, as (col4row, u, v, unique)."""
+    col4row, u, v = _serial_sap(a)
+    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
+    return col4row, u, v, unique
+
+
+def _lockstep_solve(mats):
+    """The padded block of ``mats`` (each n <= m) and ``_lockstep``'s
+    (col4row, u, v) of it, after ``_unique_optimum`` has flagged each
+    solution (returned too) and overwritten the block with reduced costs."""
+    block = stack_padded(mats, np.inf)
+    c4r, u, v = _lockstep(block, np.array([len(a) for a in mats]))
+    unique = _unique_optimum(block, u, v, c4r)
+    return block, c4r, u, v, unique
 
 
 class TestSolveMinCost:
@@ -284,7 +306,7 @@ def test_row_reduction_assigns_every_free_minimum():
     # each row's first cheapest column differs, so no row needs a search:
     # the duals stay at the row minima and zero
     a = np.array([[2.0, 0.5, 3.0, 1.0], [0.0, 4.0, 0.0, 2.0], [5.0, 6.0, 7.0, 4.5]])
-    col4row, u, v, unique = _shortest_augmenting_path(a)
+    col4row, u, v, unique = _serial_solve(a)
     assert col4row.tolist() == [1, 0, 3]
     assert u.tolist() == [0.5, 0.0, 4.5]
     assert not v.any()
@@ -297,7 +319,7 @@ def test_rows_colliding_on_one_minimum():
     # column 0 is cheapest for every row: row 0 keeps it from the reduction
     # and the other rows are left to the shortest-path search
     a = np.array([[0.0, 5.0, 6.0, 3.0], [0.0, 7.0, 1.0, 4.0], [0.0, 2.0, 9.0, 8.0]])
-    col4row, u, v, unique = _shortest_augmenting_path(a)
+    col4row, u, v, unique = _serial_solve(a)
     assert unique
     # the duals the refinement relies on: feasible, tight on the assignment,
     # and negative only on assigned columns
@@ -394,9 +416,13 @@ tie_heavy_batches = st.lists(
 
 
 def _assert_same_duals(mats):
-    # (col4row, u, v, unique) of each matrix
-    for a, lockstep in zip(mats, _lockstep_sap(mats), strict=True):
-        for serial, batched in zip(_shortest_augmenting_path(a), lockstep, strict=True):
+    # each problem's slot of the lockstep block: the serial loop's
+    # (col4row, u, v) bit for bit, and the same flag as the bare matrix
+    _, c4r, u, v, unique = _lockstep_solve(mats)
+    for b, a in enumerate(mats):
+        n, m = a.shape
+        lockstep = (c4r[b, :n], u[b, :n], v[b, :m], unique[b])
+        for serial, batched in zip(_serial_solve(a), lockstep, strict=True):
             assert np.array_equal(serial, batched)
 
 
@@ -416,15 +442,18 @@ def test_lockstep_duals_equal_serial_across_batch_sizes(size):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tie_heavy_batches)
 def test_flagged_optimum_needs_no_refinement(mats):
-    # when no other optimum exists, the refinement returns the solver's own
-    # pairs, for the matrix and, if it has fewer rows than columns, for its
-    # transpose (which the solver solves as the matrix)
-    for a, (col4row, u, v, unique) in zip(mats, _lockstep_sap(mats), strict=True):
-        if unique:
-            for cm in (CostMatrix(a), CostMatrix(a.T))[: 1 + (a.shape[0] < a.shape[1])]:
-                assert _min_cost_pairs(cm, col4row, u, v, False) == _min_cost_pairs(
-                    cm, col4row, u, v, True
-                )
+    # the flag is sound: refining every problem, flagged or not, returns
+    # min_cost_block's col4row, for the pair lists of the matrices and of
+    # their transposes (which the solver solves as the matrices)
+    block, c4r, u, v, _ = _lockstep_solve(mats)
+    n_of, m_of = np.array([a.shape for a in mats]).T
+    for transposed in (False, True):
+        flip = [transposed] * len(mats)
+        solved = min_cost_block(stack_padded(mats, np.inf), n_of, m_of, flip)
+        for b, (n, m) in enumerate(zip(n_of, m_of)):
+            tight = block[b, :n, :m] <= TIE_TOL
+            refined = _refine(tight, c4r[b, :n], u[b, :n], v[b, :m], transposed)
+            assert np.array_equal(solved[b, :n], refined)
 
 
 @pytest.mark.parametrize("values", [
@@ -436,8 +465,8 @@ def test_flagged_optimum_needs_no_refinement(mats):
 ])
 def test_tie_is_not_flagged(values):
     a = np.array(values)
-    for solved in (_shortest_augmenting_path(a), _lockstep_sap([a, a])[0]):
-        assert solved[3] is False
+    assert not _serial_solve(a)[3]
+    assert not _lockstep_solve([a, a])[4].any()
 
 
 def test_batch_with_one_large_matrix_pads_no_small_one():

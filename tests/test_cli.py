@@ -500,8 +500,14 @@ def test_inputs_read_once_and_digested(golden_inputs, capsys, monkeypatch, comma
      "line 4: class_id must be >= 1"),
     (["synth", "--jitter", "1e300"], 3, "(--extent, --jitter)"),
     (["synth", "--extent", "1e100", "1e100", "--jitter", "1e99"], 3, "(--extent, --jitter)"),
+    # an out-of-memory traceback, a spurious-point loop without end, and a
+    # class-id tuple too large to build
+    (["synth", "--density", "1e15"], 3, "(--density, --spurious)"),
+    (["synth", "--spurious", "1e15"], 3, "(--density, --spurious)"),
+    (["synth", "--num-classes", str(10**12)], 3, "--num-classes must be at most"),
 ], ids=["directory", "not-a-directory", "nested-json", "long-integer-json", "multiline-csv",
-        "synth-jitter", "synth-extent-jitter"])
+        "synth-jitter", "synth-extent-jitter", "synth-density", "synth-spurious",
+        "synth-num-classes"])
 def test_refused_without_traceback(golden_inputs, capsys, argv, code, message):
     (golden_inputs / "deep.json").write_text("[" * 200_000)
     (golden_inputs / "digits.json").write_text(

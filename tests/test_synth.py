@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,29 @@ class TestPerturb:
         model = PerturbationModel(seed=9, density=30.0, class_ids=(1, 2))
         gts = gen_ground_truth(model)
         assert perturb(gts, model) == gts
+
+    def test_identity_model_draws_as_an_identity_matrix(self):
+        # confusion=None still draws each point's relabelling value, so the
+        # jitter, drops and spurious points match the explicit identity's
+        kwargs = dict(seed=3, density=40.0, jitter_sigma=2.0, drop_rate=0.3,
+                      spurious_rate=5.0, class_ids=(1, 2, 3))
+        identity = tuple(tuple(float(i == j) for j in range(3)) for i in range(3))
+        model = PerturbationModel(**kwargs)
+        gts = gen_ground_truth(model)
+        assert perturb(gts, model) == perturb(gts, PerturbationModel(**kwargs, confusion=identity))
+
+    def test_identity_model_builds_no_class_matrix(self):
+        # a T x T identity over 3,000 classes peaked at 217 MB
+        tracemalloc.start()
+        try:
+            model = PerturbationModel(seed=1, density=10.0, class_ids=tuple(range(1, 3001)))
+            gts = gen_ground_truth(model)
+            preds = perturb(gts, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert preds == gts
 
     def test_full_drop_leaves_only_spurious(self):
         model = PerturbationModel(seed=2, density=30.0, drop_rate=1.0, spurious_rate=4.0)
@@ -96,5 +120,9 @@ def test_model_validation():
         for name in ("spurious_rate", "density", "jitter_sigma"):
             with pytest.raises(ValueError):
                 PerturbationModel(**{name: value})
+    for name in ("spurious_rate", "density"):
+        PerturbationModel(**{name: 1e6})
+        with pytest.raises(ValueError, match="at most 1e"):
+            PerturbationModel(**{name: 1e6 + 1})
     with pytest.raises(ValueError):
         PerturbationModel(class_ids=(1, 2), confusion=((0.5, 0.4), (0.5, 0.5)))
