@@ -135,9 +135,10 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     rows and no fewer columns, padded with +inf: an inf column is never
     reached and an inf row never searched. Each round advances every
     unfinished search by one Dijkstra step, with numpy operations on the
-    (K, M) arrays of the K problems still searching. A search that reaches a
-    free column updates its duals, flips its path and starts its problem's
-    next free row; a problem with none left is dropped from those arrays.
+    (K, M) arrays of K problems. A search that reaches a free column updates
+    its duals, flips its path and starts its problem's next free row. A
+    problem with none left stays in the arrays as a dead row that no round
+    can end; once dead rows are half of them, the arrays are compacted.
     Every element goes through the serial loop's arithmetic in the same order
     and ties break the same way, so each problem's (col4row, u, v), returned
     as (B, N), (B, N) and (B, M) arrays, is bit-identical to the serial
@@ -164,7 +165,8 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     # row k of the arrays below is the search of problem pid[k], rooted at
     # row cur[k] and now at row row[k]; cand, pred and todo are as in the
     # serial loop, dist holds each reached column's distance, and free marks
-    # the columns free when the search began
+    # the columns free when the search began. Every column of a dead row
+    # (listed in dead) is owned by its row 0, so its search never ends.
     pid = np.array([b for b in range(b_all) if queue[b]], dtype=np.int64)
     cur = np.array([queue[b].pop(0) for b in pid.tolist()], dtype=np.int64)
     row = cur.copy()
@@ -176,12 +178,15 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     u, v, c4r, r4c = u_all[pid], v_all[pid], c4r_all[pid], r4c_all[pid]
     free = r4c == -1
     a_rows = a_all.reshape(-1, m_max)
+    dead = []
     while len(pid):
-        # flat indices into the (K, N) and (K, M) arrays
-        at_n = np.arange(0, len(pid) * n_max, n_max)
-        at_m = np.arange(0, len(pid) * m_max, m_max)
+        if not dead:  # the arrays are new or compacted
+            # flat indices into the (K, N) and (K, M) arrays and a_rows
+            at_n = np.arange(0, len(pid) * n_max, n_max)
+            at_m = np.arange(0, len(pid) * m_max, m_max)
+            at_a = pid * n_max
         while True:
-            reach = a_rows.take(pid * n_max + row, axis=0)
+            reach = a_rows.take(at_a + row, axis=0)
             reach += lowest[:, None]
             reach -= u.take(at_n + row)[:, None]
             reach -= v
@@ -206,15 +211,16 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
                 break
         # the serial loop's dual update of each ended search
         low = lowest[ended]
+        gap = low[:, None] - dist[ended]
         reached = ~todo[ended]
         ve = v[ended]
-        np.subtract(ve, low[:, None] - dist[ended], out=ve, where=reached)
+        np.subtract(ve, gap, out=ve, where=reached)
         v[ended] = ve
         u[ended, cur[ended]] += low
         ek, ej = np.nonzero(reached & ~free[ended])
-        ek = ended[ek]
-        u[ek, r4c[ek, ej]] += lowest[ek] - dist[ek, ej]
-        restart = np.zeros(len(pid), dtype=bool)
+        rk = ended[ek]
+        u[rk, r4c[rk, ej]] += gap[ek, ej]
+        restart = []
         for k, col in zip(ended.tolist(), j[ended].tolist()):
             p, c4r_k, r4c_k, root = pred[k], c4r[k], r4c[k], cur[k]
             while True:
@@ -223,21 +229,26 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
                 c4r_k[i], col = col, c4r_k[i]
                 if i == root:
                     break
-            if queue[pid[k]]:
-                restart[k] = True
-                cur[k] = row[k] = queue[pid[k]].pop(0)
-        lowest[restart] = 0.0
-        cand[restart] = np.inf
-        todo[restart] = True
-        free[restart] = r4c[restart] == -1
-        done = ended[~restart[ended]]
-        if done.size:
-            u_all[pid[done]], v_all[pid[done]], c4r_all[pid[done]] = u[done], v[done], c4r[done]
-            keep = np.ones(len(pid), dtype=bool)
-            keep[done] = False
+            rows_left = queue[pid[k]]
+            if rows_left:
+                restart.append(k)
+                cur[k] = row[k] = rows_left.pop(0)
+            else:
+                dead.append(k)
+                r4c_k[:] = row[k] = 0
+        if restart:
+            lowest[restart] = 0.0
+            cand[restart] = np.inf
+            todo[restart] = True
+            free[restart] = r4c[restart] == -1
+        if 2 * len(dead) >= len(pid):
+            # write the dead rows' solutions back and drop them
+            u_all[pid[dead]], v_all[pid[dead]], c4r_all[pid[dead]] = u[dead], v[dead], c4r[dead]
+            keep = np.delete(np.arange(len(pid)), dead)
             pid, cur, row, lowest = pid[keep], cur[keep], row[keep], lowest[keep]
             cand, todo, pred, dist = cand[keep], todo[keep], pred[keep], dist[keep]
             u, v, c4r, r4c, free = u[keep], v[keep], c4r[keep], r4c[keep], free[keep]
+            dead = []
     return c4r_all, u_all, v_all
 
 

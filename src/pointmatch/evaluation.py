@@ -4,13 +4,15 @@ greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
 match a ground truth of the same class. Images are ``PointSet`` columns and
-evaluation is a stream of (image, class) cells, in sorted-image then class
-order, that ``block_batches`` cuts into batches of at most
-``BLOCK_ELEMENTS`` padded distances; a cell over that budget is a batch of
-its own. ``score_cells`` builds a batch's distances once, as one padded
-(B, N, M) block with each cell's smaller side as rows, and scores it under
-every protocol requested, all three under ``compare_protocols``: one
-min-cost solve of the block for raw Hungarian, and one maximum matching
+evaluation is a stream of (image, class) cells. A size pass refuses a
+dataset with a cell of more than ``CELL_DISTANCES`` distances; otherwise the
+cells go, in ascending order of their sorted sides, to ``block_batches``,
+which cuts them into batches of at most ``BLOCK_ELEMENTS`` padded distances
+(a cell over that budget is a batch of its own), and their counts return to
+(image, class) order. ``score_cells`` builds a batch's distances once, as
+one padded (B, N, M) block with each cell's smaller side as rows, and scores
+it under every protocol requested, all three under ``compare_protocols``:
+one min-cost solve of the block for raw Hungarian, and one maximum matching
 over its entries within the radius for the matched protocol, whose edges
 greedy reads too. Every protocol reads a cell's dense N x M distances, so
 memory stays O(N * M) per cell. Counts come back as arrays of TP, FP and
@@ -28,6 +30,11 @@ import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
 from .types import Points, as_point_set, distance_matrix
+
+
+# distances of one (image, class) cell, 2 GiB of float64, above which
+# evaluation refuses the dataset before it allocates any block
+CELL_DISTANCES = 1 << 28
 
 
 class Protocol(str, enum.Enum):
@@ -77,17 +84,6 @@ def f1_from_counts(counts: ClassCounts) -> float:
     if denom == 0:
         return 0.0
     return counts.tp / denom
-
-
-def _cells(gt_by_image, pred_by_image, images, class_ids):
-    """The (ground-truth xy, prediction xy) of the (image, class) cells of
-    ``images`` in order, classes in ``class_ids`` order within an image."""
-    empty = as_point_set(())
-    for image_id in images:
-        gts = as_point_set(gt_by_image.get(image_id, empty))
-        preds = as_point_set(pred_by_image.get(image_id, empty))
-        for cls in class_ids:
-            yield gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]
 
 
 def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Protocol, np.ndarray]:
@@ -142,18 +138,41 @@ def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Pro
 
 def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[Protocol, np.ndarray]:
     """TP, FP and FN per protocol as an (images, classes, 3) array, images
-    being the union of image ids in sorted order. Cells are scored in
-    batches of at most BLOCK_ELEMENTS padded distances (``block_batches``)."""
+    being the union of image ids in sorted order. Cells go to
+    ``block_batches`` in ascending order of their sorted sides (a stable
+    sort), so a batch holds cells of similar shape and pads few distances."""
     images = sorted(set(gt_by_image) | set(pred_by_image))
-    cells = _cells(gt_by_image, pred_by_image, images, class_ids)
-    counts = {p: [np.zeros((0, 3), dtype=np.int64)] for p in protocols}
-    for batch in block_batches(cells, lambda cell: map(len, cell)):
-        scored = score_cells(batch, radius, protocols)
-        for p in protocols:
-            counts[p].append(scored[p])
-    return {
-        p: np.concatenate(c).reshape(len(images), len(class_ids), 3) for p, c in counts.items()
-    }
+    empty = as_point_set(())
+    sets = [
+        (as_point_set(gt_by_image.get(i, empty)), as_point_set(pred_by_image.get(i, empty)))
+        for i in images
+    ]
+    ids = np.asarray(class_ids)
+
+    def sizes(cls):
+        cls = np.sort(cls)
+        return np.searchsorted(cls, ids, side="right") - np.searchsorted(cls, ids)
+
+    # the size pass: each cell's ground truths n and predictions m
+    n, m = (np.array([sizes(s[side].cls) for s in sets]).reshape(-1) for side in (0, 1))
+    over = np.flatnonzero(n * m > CELL_DISTANCES)
+    if over.size:
+        k = over[0]
+        raise ValueError(
+            f"image {images[k // len(ids)]}, class {class_ids[k % len(ids)]}: "
+            f"{n[k]} x {m[k]} distances exceed the limit of one cell"
+        )
+
+    def cell(k):
+        (gts, preds), cls = sets[k // len(ids)], class_ids[k % len(ids)]
+        return gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]
+
+    order = np.lexsort((np.maximum(n, m), np.minimum(n, m)))
+    batches = block_batches(order.tolist(), lambda k: (n[k], m[k]))
+    scored = [score_cells([cell(k) for k in batch], radius, protocols) for batch in batches]
+    rank = np.argsort(order)  # each cell's place in shape order
+    counts = {p: [np.zeros((0, 3), dtype=np.int64), *(s[p] for s in scored)] for p in protocols}
+    return {p: np.concatenate(c)[rank].reshape(len(images), len(ids), 3) for p, c in counts.items()}
 
 
 def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:

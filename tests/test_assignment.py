@@ -439,6 +439,49 @@ def test_lockstep_duals_equal_serial_across_batch_sizes(size):
     )
 
 
+def _early_or_late(kind, seed):
+    """A problem that never searches (0 or 1 row), finishes after a few
+    searches (2-3 rows) or runs long (a tie-heavy integer 8 x 12)."""
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(3, 13))
+    if kind == "none":
+        return np.zeros((0, cols))
+    if kind == "one":
+        return rng.integers(0, 6, (1, cols)).astype(float)
+    if kind == "few":
+        return rng.integers(0, 3, (int(rng.integers(2, 4)), cols)).astype(float)
+    return _tie_heavy("integer", 8, 12, seed)
+
+
+# both searches end in their second round: the first problem then has no free
+# row left, the second restarts from its third row
+ENDS_TOGETHER = [np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 1.0, 5.0]] * 3)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.builds(
+            _early_or_late,
+            st.sampled_from(["none", "one", "few", "few", "few", "few", "long"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(0, 40),
+)
+def test_lockstep_dead_rows_keep_serial_duals(mats, at):
+    # most problems finish early and stay as dead rows until they are half of
+    # the arrays; the long ones keep searching across each compaction
+    mats[at:at] = ENDS_TOGETHER
+    c4r, u, v = _lockstep(stack_padded(mats, np.inf), np.array([len(a) for a in mats]))
+    for b, a in enumerate(mats):
+        n, m = a.shape
+        for serial, batched in zip(_serial_sap(a), (c4r[b, :n], u[b, :n], v[b, :m]), strict=True):
+            assert serial.dtype == batched.dtype and serial.tobytes() == batched.tobytes()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tie_heavy_batches)
 def test_flagged_optimum_needs_no_refinement(mats):

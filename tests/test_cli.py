@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch import pointfile
+from pointmatch import evaluation, pointfile
 from pointmatch.cli import main
 from pointmatch.pointfile import read_point_file, write_point_file
 
@@ -565,3 +565,26 @@ def test_fuzzed_prediction_file(fuzz_dir, suffix, edits):
         assert code in codes
         if code == 0 and command == "match":  # match writes JSON by default
             strict_loads(Path(out).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", [
+    ["compare"], ["evaluate", "--protocol", "matched"], ["evaluate", "--protocol", "raw-hungarian"],
+])
+def test_oversized_cell_refused_before_any_distance(tmp_path, capsys, monkeypatch, command):
+    # image b's class-2 cell holds 2 x 3 = 6 distances, every other cell at
+    # most 1; the limit is lowered so that nothing large is allocated
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt.write_text("image_id,x,y,class_id\na,0,0,1\nb,0,0,2\nb,5,0,2\nb,9,9,1\n")
+    pred.write_text("image_id,x,y,class_id\na,1,0,1\nb,1,0,2\nb,6,0,2\nb,7,7,2\n")
+    argv = [*command, str(gt), str(pred), "--format", "json"]
+    monkeypatch.setattr(evaluation, "CELL_DISTANCES", 6)
+    assert run(capsys, *argv)[0] == 0
+
+    def no_distances(*args):
+        raise AssertionError("distance_matrix was called")
+
+    monkeypatch.setattr(evaluation, "CELL_DISTANCES", 5)
+    monkeypatch.setattr(evaluation, "distance_matrix", no_distances)
+    assert run(capsys, *argv) == (
+        3, "", "error: image b, class 2: 2 x 3 distances exceed the limit of one cell\n"
+    )

@@ -341,6 +341,80 @@ class TestRawHungarianBatches:
         raw = next(r for r in rows if r.protocol is Protocol.RAW_HUNGARIAN)
         assert raw.per_class_f1 == tuple((c.class_id, f1) for c, f1 in report.per_class)
 
+    def test_shape_order_never_shows_in_results(self, monkeypatch):
+        # cells alternate between large, small and empty from image to image,
+        # and some images exist on one side only, so the cells are scored far
+        # from image order; every report must equal scoring each cell alone
+        rng = random.Random(66)
+        gt_by_image, pred_by_image = {}, {}
+        for k in range(45):
+            lo, hi = ((12, 18), (1, 3), (0, 0))[k % 3]
+            gts = random_points(rng, rng.randint(lo, hi), num_classes=2, extent=30)
+            preds = random_points(rng, rng.randint(lo, hi), num_classes=2, extent=30)
+            if k % 7 != 3:
+                gt_by_image[f"im{k:02d}"] = gts
+            if k % 11 != 5:
+                pred_by_image[f"im{k:02d}"] = preds
+        images = sorted(set(gt_by_image) | set(pred_by_image))
+        classes = (1, 2)
+        monkeypatch.setattr(assignment, "BLOCK_ELEMENTS", self.BUDGET)
+        shapes = []
+        scored = evaluation.score_cells
+
+        def record(cells, radius, protocols):
+            shapes.extend(tuple(sorted((len(g), len(p)))) for g, p in cells)
+            return scored(cells, radius, protocols)
+
+        monkeypatch.setattr(evaluation, "score_cells", record)
+        reports = {
+            (protocol, aggregate): evaluate_dataset(
+                gt_by_image, pred_by_image,
+                EvalConfig(radius=6.0, protocol=protocol, class_ids=classes, aggregate=aggregate),
+            )
+            for protocol in Protocol
+            for aggregate in Aggregate
+        }
+        comparisons = {
+            aggregate: compare_protocols(gt_by_image, pred_by_image, 6.0, classes, aggregate)
+            for aggregate in Aggregate
+        }
+        monkeypatch.undo()
+        # each of the 8 runs sent its cells in ascending shape order, which
+        # is not image order
+        in_image_order = [
+            tuple(sorted(
+                sum(p.class_id == cls for p in side.get(i, [])) for side in (gt_by_image, pred_by_image)
+            ))
+            for i in images
+            for cls in classes
+        ]
+        assert in_image_order != sorted(in_image_order)
+        assert shapes == sorted(in_image_order) * 8
+
+        single = {
+            Protocol.MATCHED: match_thresholded,
+            Protocol.RAW_HUNGARIAN: match_raw_hungarian,
+            Protocol.GREEDY: match_greedy,
+        }
+        for protocol, match in single.items():
+            alone = np.array([
+                [
+                    [getattr(match(gt_by_image.get(i, []), pred_by_image.get(i, []), 6.0,
+                                   (cls,))[cls], f) for f in ("tp", "fp", "fn")]
+                    for cls in classes
+                ]
+                for i in images
+            ])
+            for aggregate in Aggregate:
+                config = EvalConfig(
+                    radius=6.0, protocol=protocol, class_ids=classes, aggregate=aggregate
+                )
+                expected = evaluation._report(protocol, alone, config)
+                assert reports[protocol, aggregate] == expected
+                row = next(r for r in comparisons[aggregate] if r.protocol is protocol)
+                assert row.per_class_f1 == tuple((c.class_id, f1) for c, f1 in expected.per_class)
+                assert row.macro_f1 == expected.macro_f1
+
     def test_matched_only_streams_in_cell_batches(self, monkeypatch):
         gt_by_image, pred_by_image = self._dataset()
         batches = self._record_batches(monkeypatch)
