@@ -53,71 +53,6 @@ def block_batches(items, sides):
         yield batch
 
 
-def _serial_sap(a: np.ndarray):
-    """Rectangular shortest augmenting path for an (n, m) matrix, n <= m.
-
-    Jonker & Volgenant 1987 in the rectangular form of Crouse 2016. A row
-    reduction starts the duals at u = row minima, v = 0, and gives each row,
-    in order, its first cheapest column along a tight edge if that column is
-    still free. Each row left over then runs Dijkstra over reduced costs to
-    the nearest free column, so no dummy rows are built and the work is
-    O(n^2 m). Returns (col4row, u, v) where row i is assigned column
-    col4row[i], and the duals satisfy a[i, j] - u[i] - v[j] >= 0 (up to
-    float error) with equality on assigned pairs, v <= 0, and v[j] < 0 only
-    for assigned columns.
-    """
-    n, m = a.shape
-    u = a.min(axis=1)
-    v = np.zeros(m)
-    col4row = [-1] * n
-    row4col = [-1] * m
-    for i, j in enumerate(a.argmin(axis=1).tolist()):
-        if row4col[j] == -1:
-            row4col[j], col4row[i] = i, j
-    # a search ends on a free column and frees none, so each search removes
-    # exactly its last column from this ascending list
-    free = np.array([j for j in range(m) if row4col[j] == -1], dtype=np.int64)
-    for cur in [i for i in range(n) if col4row[i] == -1]:
-        # cand: tentative distance of each column not yet reached, inf once
-        # it is; reached columns and their distances go to cols/dists
-        cand = np.full(m, np.inf)
-        pred = np.zeros(m, dtype=np.int64)
-        todo = np.ones(m, dtype=bool)
-        cols, dists = [], []
-        i, lowest = cur, 0.0
-        while True:
-            reach = lowest + a[i] - u[i] - v
-            better = todo & (reach < cand)
-            cand[better] = reach[better]
-            pred[better] = i
-            j = int(cand.argmin())
-            lowest = cand[j]
-            if row4col[j] != -1:
-                # among equally near columns a free one ends the search now
-                tie = free[cand[free] == lowest]
-                if tie.size:
-                    j = int(tie[0])
-            todo[j] = False
-            cand[j] = np.inf
-            cols.append(j)
-            dists.append(lowest)
-            i = row4col[j]
-            if i == -1:
-                break
-        free = free[free != j]
-        dists = np.array(dists)
-        u[cur] += lowest
-        u[[row4col[c] for c in cols[:-1]]] += lowest - dists[:-1]
-        v[cols] -= lowest - dists
-        while True:
-            i = int(pred[j])
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return np.array(col4row, dtype=np.int64), u, v
-
-
 def stack_padded(arrays, fill: float) -> np.ndarray:
     """Arrays with the same number of dimensions, stacked into one array of
     their largest shape: each in the corner of its slice, ``fill`` around
@@ -129,20 +64,27 @@ def stack_padded(arrays, fill: float) -> np.ndarray:
 
 
 def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
-    """``_serial_sap`` of every problem of a (B, N, M) block, in lockstep.
+    """Rectangular shortest augmenting path (Jonker & Volgenant 1987, in the
+    rectangular form of Crouse 2016) for every problem of a (B, N, M) block.
 
     Problem b is the matrix in the corner of ``a_all[b]``, of ``n_of[b]``
     rows and no fewer columns, padded with +inf: an inf column is never
-    reached and an inf row never searched. Each round advances every
-    unfinished search by one Dijkstra step, with numpy operations on the
-    (K, M) arrays of K problems. A search that reaches a free column updates
-    its duals, flips its path and starts its problem's next free row. A
-    problem with none left stays in the arrays as a dead row that no round
-    can end; once dead rows are half of them, the arrays are compacted.
-    Every element goes through the serial loop's arithmetic in the same order
-    and ties break the same way, so each problem's (col4row, u, v), returned
-    as (B, N), (B, N) and (B, M) arrays, is bit-identical to the serial
-    loop's.
+    reached and an inf row never searched. A row reduction starts the duals
+    at u = row minima, v = 0, and gives each row, in order, its first
+    cheapest column if that column is still free. Each row left over runs
+    Dijkstra over reduced costs to the nearest free column: O(n^2 m) work,
+    with no dummy rows. While two or more problems are live, one round of
+    numpy operations on the (K, M) arrays of K problems advances every
+    search by one step, and the searches that end update their duals
+    together. A problem with no free row left stays as a dead row that no
+    round can end, until dead rows are half of the arrays and these are
+    compacted; so a lone live problem is their only row, and it finishes
+    with scalar steps and dual updates on its own rows. Both modes do the
+    same arithmetic in the same order and break ties alike, so a problem's
+    (col4row, u, v), returned as (B, N), (B, N) and (B, M) arrays, are
+    bit-identical alone or in any block. The duals satisfy
+    a[i, j] - u[i] - v[j] >= 0 (up to float error) with equality on assigned
+    pairs, v <= 0, and v[j] < 0 only for assigned columns.
     """
     b_all, n_max, m_max = a_all.shape
     real = np.arange(n_max) < n_of[:, None]
@@ -163,10 +105,12 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
         queue[b].append(int(r))
 
     # row k of the arrays below is the search of problem pid[k], rooted at
-    # row cur[k] and now at row row[k]; cand, pred and todo are as in the
-    # serial loop, dist holds each reached column's distance, and free marks
-    # the columns free when the search began. Every column of a dead row
-    # (listed in dead) is owned by its row 0, so its search never ends.
+    # row cur[k] and now at row row[k], lowest[k] away; cand holds the
+    # tentative distance of each column not yet reached (inf once it is),
+    # todo the columns not yet reached, pred each column's row on its path,
+    # dist each reached column's distance, and free the columns free when
+    # the search began. Every column of a dead row (listed in dead) is owned
+    # by its row 0, so its search never ends.
     pid = np.array([b for b in range(b_all) if queue[b]], dtype=np.int64)
     cur = np.array([queue[b].pop(0) for b in pid.tolist()], dtype=np.int64)
     row = cur.copy()
@@ -180,48 +124,82 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     a_rows = a_all.reshape(-1, m_max)
     dead = []
     while len(pid):
-        if not dead:  # the arrays are new or compacted
-            # flat indices into the (K, N) and (K, M) arrays and a_rows
-            at_n = np.arange(0, len(pid) * n_max, n_max)
-            at_m = np.arange(0, len(pid) * m_max, m_max)
-            at_a = pid * n_max
-        while True:
-            reach = a_rows.take(at_a + row, axis=0)
-            reach += lowest[:, None]
-            reach -= u.take(at_n + row)[:, None]
-            reach -= v
-            better = reach < cand
-            better &= todo
-            np.copyto(cand, reach, where=better)
-            np.copyto(pred, row[:, None], where=better)
-            j = cand.argmin(axis=1)
-            lowest = cand.take(at_m + j)
-            # among equally near columns a free one ends the search now
-            tie = cand == lowest[:, None]
-            tie &= free
-            first = tie.argmax(axis=1)
-            j = np.where(tie.take(at_m + first), first, j)
-            at = at_m + j
-            todo.put(at, False)
-            cand.put(at, np.inf)
-            dist.put(at, lowest)
-            row = r4c.take(at)
-            ended = np.flatnonzero(row == -1)
-            if ended.size:
-                break
-        # the serial loop's dual update of each ended search
-        low = lowest[ended]
-        gap = low[:, None] - dist[ended]
-        reached = ~todo[ended]
-        ve = v[ended]
-        np.subtract(ve, gap, out=ve, where=reached)
-        v[ended] = ve
-        u[ended, cur[ended]] += low
-        ek, ej = np.nonzero(reached & ~free[ended])
-        rk = ended[ek]
-        u[rk, r4c[rk, ej]] += gap[ek, ej]
-        restart = []
-        for k, col in zip(ended.tolist(), j[ended].tolist()):
+        if len(pid) == 1:
+            # one live problem: scalar steps on its own rows until its
+            # search ends, then its dual update
+            a, i, low = a_all[pid[0]], row[0], lowest[0]
+            cand_k, todo_k, pred_k, dist_k = cand[0], todo[0], pred[0], dist[0]
+            u_k, v_k, r4c_k, free_cols = u[0], v[0], r4c[0], np.flatnonzero(free[0])
+            while i != -1:
+                reach = low + a[i]
+                reach -= u_k[i]
+                reach -= v_k
+                better = reach < cand_k
+                better &= todo_k
+                np.copyto(cand_k, reach, where=better)
+                pred_k[better] = i
+                j = cand_k.argmin()
+                low = cand_k[j]
+                i = r4c_k.item(j)
+                if i != -1:
+                    # among equally near columns a free one ends the search now
+                    tie = free_cols[cand_k[free_cols] == low]
+                    if tie.size:
+                        j, i = tie[0], -1
+                todo_k[j] = False
+                cand_k[j] = np.inf
+                dist_k[j] = low
+            reached = np.flatnonzero(~todo_k)
+            gap = low - dist_k[reached]
+            v_k[reached] -= gap
+            u_k[cur[0]] += low
+            owned = reached != j
+            u_k[r4c_k[reached[owned]]] += gap[owned]
+            ends = [(0, j)]
+        else:
+            if not dead:  # the arrays are new or compacted
+                # flat indices into the (K, N) and (K, M) arrays and a_rows
+                at_n = np.arange(0, len(pid) * n_max, n_max)
+                at_m = np.arange(0, len(pid) * m_max, m_max)
+                at_a = pid * n_max
+            while True:
+                reach = a_rows.take(at_a + row, axis=0)
+                reach += lowest[:, None]
+                reach -= u.take(at_n + row)[:, None]
+                reach -= v
+                better = reach < cand
+                better &= todo
+                np.copyto(cand, reach, where=better)
+                np.copyto(pred, row[:, None], where=better)
+                j = cand.argmin(axis=1)
+                lowest = cand.take(at_m + j)
+                # among equally near columns a free one ends the search now
+                tie = cand == lowest[:, None]
+                tie &= free
+                first = tie.argmax(axis=1)
+                j = np.where(tie.take(at_m + first), first, j)
+                at = at_m + j
+                todo.put(at, False)
+                cand.put(at, np.inf)
+                dist.put(at, lowest)
+                row = r4c.take(at)
+                ended = np.flatnonzero(row == -1)
+                if ended.size:
+                    break
+            # the dual update of each ended search, as in the scalar mode
+            low = lowest[ended]
+            gap = low[:, None] - dist[ended]
+            reached = ~todo[ended]
+            ve = v[ended]
+            np.subtract(ve, gap, out=ve, where=reached)
+            v[ended] = ve
+            u[ended, cur[ended]] += low
+            ek, ej = np.nonzero(reached & ~free[ended])
+            rk = ended[ek]
+            u[rk, r4c[rk, ej]] += gap[ek, ej]
+            ends = zip(ended.tolist(), j[ended].tolist())
+        for k, col in ends:
+            # flip the path, then start the problem's next free row
             p, c4r_k, r4c_k, root = pred[k], c4r[k], r4c[k], cur[k]
             while True:
                 i = p[col]
@@ -231,16 +209,14 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
                     break
             rows_left = queue[pid[k]]
             if rows_left:
-                restart.append(k)
                 cur[k] = row[k] = rows_left.pop(0)
+                lowest[k] = 0.0
+                cand[k] = np.inf
+                todo[k] = True
+                np.equal(r4c_k, -1, out=free[k])
             else:
                 dead.append(k)
                 r4c_k[:] = row[k] = 0
-        if restart:
-            lowest[restart] = 0.0
-            cand[restart] = np.inf
-            todo[restart] = True
-            free[restart] = r4c[restart] == -1
         if 2 * len(dead) >= len(pid):
             # write the dead rows' solutions back and drop them
             u_all[pid[dead]], v_all[pid[dead]], c4r_all[pid[dead]] = u[dead], v[dead], c4r[dead]
@@ -455,8 +431,9 @@ def min_cost_block(a_all: np.ndarray, n_of, m_of, transposed) -> np.ndarray:
     matrix (n <= m) in the corner of ``a_all[b]``; where ``transposed[b]``
     it is the transpose of the matrix whose pair list the tie-break orders.
 
-    The serial loop solves a block of one problem, the lockstep a larger
-    one; both give the same duals. ``_unique_optimum`` then overwrites
+    ``_lockstep`` solves every block, of one problem or many: vectorized
+    rounds while two or more problems are live, scalar steps for the last
+    one, with the same duals either way. ``_unique_optimum`` then overwrites
     ``a_all`` with the reduced costs. A solution with no other optimum is
     returned as it is; only the others run the refinement, on the admissible
     edges of their reduced costs.
@@ -464,10 +441,7 @@ def min_cost_block(a_all: np.ndarray, n_of, m_of, transposed) -> np.ndarray:
     b_all, n_max, _ = a_all.shape
     if not n_max:  # no row to assign, and perhaps no column to reduce over
         return np.zeros((b_all, 0), dtype=np.int64)
-    if b_all == 1:
-        c4r, u, v = (x[None] for x in _serial_sap(a_all[0]))
-    else:
-        c4r, u, v = _lockstep(a_all, n_of)
+    c4r, u, v = _lockstep(a_all, n_of)
     unique = _unique_optimum(a_all, u, v, c4r)
     for b in np.flatnonzero(~unique).tolist():
         n, m = n_of[b], m_of[b]
@@ -486,10 +460,10 @@ def solve_min_cost_batch(costs: Sequence[CostMatrix]) -> list[Assignment]:
 
     The matrices, each with its smaller side as rows, are padded into blocks
     of at most BLOCK_ELEMENTS elements (``block_batches``) and each block is
-    solved by ``min_cost_block``: the serial shortest augmenting path for a
-    block of one matrix, in lockstep for more, one numpy round per Dijkstra
-    step of all of them. Both give the same duals, so the batching never
-    changes a pair list.
+    solved by ``min_cost_block``, whose one driver advances all of a block's
+    searches together, one numpy round per Dijkstra step, and finishes the
+    last live matrix with scalar steps. A matrix's duals are the same alone
+    or in a block, so the batching never changes a pair list.
     """
     out = []
     for batch in block_batches(costs, lambda c: c.values.shape):

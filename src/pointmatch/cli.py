@@ -282,9 +282,12 @@ def cmd_match(args) -> int:
                 f"image {image_id}: {len(gts)} ground truths but only "
                 f"{len(preds)} proposals"
             )
-        costs = matching.build_cost_matrix(gts, preds, config.tau)
-        one2one, one2many = matching.match_hybrid(gts, preds, config)
-        losses = matching.combined_loss(gts, preds, config)
+        try:  # the hybrid matcher refuses an oversized matrix before any is built
+            one2one, one2many = matching.match_hybrid(gts, preds, config)
+            costs = matching.build_cost_matrix(gts, preds, config.tau)
+            losses = matching.combined_loss(gts, preds, config)
+        except ValueError as exc:
+            raise ConfigError(f"image {image_id}: {exc}") from None
         gxy, pxy = gts.xy.tolist(), preds.xy.tolist()
 
         def dump(outcome):

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
-from .types import Points, as_point_set, distance_matrix
-
-
-# distances of one (image, class) cell, 2 GiB of float64, above which
-# evaluation refuses the dataset before it allocates any block
-CELL_DISTANCES = 1 << 28
+from .types import CELL_DISTANCES, Points, as_point_set, distance_matrix
 
 
 class Protocol(str, enum.Enum):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CostMatrix, Points, PointSet, as_point_set, distance_matrix
+from .types import CELL_DISTANCES, CostMatrix, Points, PointSet, as_point_set, distance_matrix
 
 LOG_CLAMP = 1e-12
 
@@ -129,9 +129,17 @@ def match_hybrid(
     If N * beta exceeds M, all proposals are consumed and a warning is
     emitted. A beta above M replicates each row M times, as no ground truth
     can take more than all M proposals; the pairs are those of beta rows.
+    A replicated matrix of more than ``CELL_DISTANCES`` entries is refused
+    before any matrix is built.
     """
     gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
+    beta = min(config.beta, max(m, 1))
+    if n * beta * m > CELL_DISTANCES:
+        raise ValueError(
+            f"{n} ground truths x beta {beta} x {m} proposals: {n * beta * m} "
+            f"replicated costs exceed the limit of one matrix ({CELL_DISTANCES})"
+        )
     one2one = match_one_to_one(gts, preds, config)
     if config.beta == 1:
         return one2one, one2one
@@ -141,7 +149,6 @@ def match_hybrid(
             "all proposals will be matched",
             stacklevel=2,
         )
-    beta = min(config.beta, max(m, 1))
     costs = build_cost_matrix(gts, preds, config.tau)
     replicated = CostMatrix(np.repeat(costs.values, beta, axis=0))
     assignment = solve_min_cost(replicated)
@@ -207,6 +214,7 @@ def combined_loss(
     """Hybrid matching followed by both loss branches:
     combined = (cls_1v1 + reg_weight * reg_1v1)
              + one2many_weight * (cls_1vN + reg_weight * reg_1vN).
+    Refuses a loss that is not finite, such as a product that overflows.
     """
     gts, preds = as_point_set(gts), as_point_set(preds)
     one2one, one2many = match_hybrid(gts, preds, config)
@@ -217,10 +225,14 @@ def combined_loss(
     combined = (cls_1v1 + config.reg_weight * reg_1v1) + config.one2many_weight * (
         cls_1vn + config.reg_weight * reg_1vn
     )
-    return LossBreakdown(
+    losses = LossBreakdown(
         cls_1v1=cls_1v1,
         reg_1v1=reg_1v1,
         cls_1vN=cls_1vn,
         reg_1vN=reg_1vn,
         combined=combined,
     )
+    for name, value in vars(losses).items():
+        if not math.isfinite(value):  # no report could hold it as a number
+            raise ValueError(f"the {name} loss is {value}, not finite")
+    return losses

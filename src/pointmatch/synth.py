@@ -28,7 +28,10 @@ SIZE_LIMIT = 10**6
 
 
 def _rng(seed: int, purpose: str) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed, _PURPOSE_TAGS[purpose])))
+    # an explicit uint64 key: from a tuple, numpy would take a seed of 2**63
+    # or more through float64 and round it
+    key = np.array([seed, _PURPOSE_TAGS[purpose]], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,9 @@ class PerturbationModel:
     class_ids: tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        # the seed is one 64-bit word of the Philox key
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2**64) (--seed)")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be in [0, 1]")
         if not all(0 <= x < math.inf for x in (self.spurious_rate, self.density,

@@ -12,6 +12,10 @@ import numpy as np
 _MAX_COORD = 1e100
 _COORD_ERROR = f"coordinates must be finite and at most {_MAX_COORD:g} in absolute value"
 
+# entries of one dense matrix, 2 GiB of float64: evaluation refuses a larger
+# cell, and training a larger replicated cost matrix, before allocating it
+CELL_DISTANCES = 1 << 28
+
 
 def _check_coords(x: float, y: float) -> None:
     if not (abs(x) <= _MAX_COORD and abs(y) <= _MAX_COORD):

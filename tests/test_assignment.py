@@ -16,7 +16,6 @@ from pointmatch.assignment import (
     _lex_refine,
     _lockstep,
     _refine,
-    _serial_sap,
     _unique_optimum,
     max_matching_edges,
     min_cost_block,
@@ -32,10 +31,15 @@ def cost_of(values, assignment):
     return assignment.total_cost(CostMatrix(values))
 
 
-def _serial_solve(a):
-    """``_serial_sap`` of one matrix (n <= m) and ``_unique_optimum``'s flag
-    of its solution, as (col4row, u, v, unique)."""
-    col4row, u, v = _serial_sap(a)
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _alone_solve(a):
+    """``_lockstep`` of one matrix (n <= m) as a block of its own, so in
+    scalar steps throughout, and ``_unique_optimum``'s flag of its solution,
+    as (col4row, u, v, unique)."""
+    col4row, u, v = (x[0] for x in _lockstep(a[None].copy(), np.array([len(a)])))
     unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
     return col4row, u, v, unique
 
@@ -48,6 +52,22 @@ def _lockstep_solve(mats):
     c4r, u, v = _lockstep(block, np.array([len(a) for a in mats]))
     unique = _unique_optimum(block, u, v, c4r)
     return block, c4r, u, v, unique
+
+
+def _assert_slots_equal_alone(mats, c4r, u, v):
+    # each problem's slot of a block, solved in vectorized rounds and then in
+    # scalar steps: the (col4row, u, v) of the problem solved alone, byte for
+    # byte, and duals that certify its optimum
+    for b, a in enumerate(mats):
+        n, m = a.shape
+        batched = (c4r[b, :n], u[b, :n], v[b, :m])
+        for alone, got in zip(_alone_solve(a), batched):
+            assert _same_bytes(alone, np.ascontiguousarray(got))
+        reduced = a - batched[1][:, None] - batched[2]
+        assert reduced.min(initial=0.0) >= -1e-9
+        assert np.abs(reduced[np.arange(n), batched[0]]).max(initial=0.0) <= 1e-9
+        assert batched[2].max(initial=0.0) <= 0.0
+        assert set(np.flatnonzero(batched[2] < 0)) <= set(batched[0].tolist())
 
 
 class TestSolveMinCost:
@@ -274,12 +294,13 @@ def test_replicated_rows_match_oracle(beta_values):
     assert solve_min_cost(cm).pairs == brute_force_min_cost(cm).pairs
 
 
-def _anchor_costs(n_gt, seed, tau=0.05):
-    # paper-size patch: 224 x 224, stride 8, 2 x 2 anchors -> 3,136 proposals
+def _anchor_costs(n_gt, seed, tau=0.05, side=224):
+    # paper-size patch: 224 x 224, stride 8, 2 x 2 anchors -> 3,136 proposals;
+    # a 64 x 64 patch, as train-match's, has 256
     rng = np.random.default_rng(seed)
-    anchors = np.array(make_grid(GridSpec(28, 28, 8.0)).positions)
+    anchors = np.array(make_grid(GridSpec(side // 8, side // 8, 8.0)).positions)
     proposals = anchors + rng.normal(0.0, 2.0, anchors.shape)
-    gts = rng.uniform(0.0, 224.0, (n_gt, 2))
+    gts = rng.uniform(0.0, float(side), (n_gt, 2))
     dist = np.linalg.norm(gts[:, None, :] - proposals[None, :, :], axis=2)
     return tau * dist - rng.uniform(0.0, 1.0, (1, len(proposals)))
 
@@ -302,11 +323,24 @@ def test_min_cost_agrees_with_scipy_at_paper_size(n_gt, beta, transpose):
     assert abs(a.total_cost(cm) - values[rows, cols].sum()) < 1e-9
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_paper_size_training_matrices_solve_alike_alone_and_in_a_block(seed):
+    # a paper-size patch's one-to-one and beta = 4 matrices (30 and 120 rows
+    # over 3,136 proposals) solve alike alone, in scalar steps, and in one
+    # block with a train-match-size patch's two (over 256 proposals), where
+    # their searches run in vectorized rounds beside the others'
+    paper, train = _anchor_costs(30, seed), _anchor_costs(30, seed + 10, side=64)
+    mats = [paper, np.repeat(paper, 4, axis=0), train, np.repeat(train, 4, axis=0)]
+    assert [a.shape for a in mats] == [(30, 3136), (120, 3136), (30, 256), (120, 256)]
+    c4r, u, v = _lockstep(stack_padded(mats, np.inf), np.array([len(a) for a in mats]))
+    _assert_slots_equal_alone(mats, c4r, u, v)
+
+
 def test_row_reduction_assigns_every_free_minimum():
     # each row's first cheapest column differs, so no row needs a search:
     # the duals stay at the row minima and zero
     a = np.array([[2.0, 0.5, 3.0, 1.0], [0.0, 4.0, 0.0, 2.0], [5.0, 6.0, 7.0, 4.5]])
-    col4row, u, v, unique = _serial_solve(a)
+    col4row, u, v, unique = _alone_solve(a)
     assert col4row.tolist() == [1, 0, 3]
     assert u.tolist() == [0.5, 0.0, 4.5]
     assert not v.any()
@@ -319,7 +353,7 @@ def test_rows_colliding_on_one_minimum():
     # column 0 is cheapest for every row: row 0 keeps it from the reduction
     # and the other rows are left to the shortest-path search
     a = np.array([[0.0, 5.0, 6.0, 3.0], [0.0, 7.0, 1.0, 4.0], [0.0, 2.0, 9.0, 8.0]])
-    col4row, u, v, unique = _serial_solve(a)
+    col4row, u, v, unique = _alone_solve(a)
     assert unique
     # the duals the refinement relies on: feasible, tight on the assignment,
     # and negative only on assigned columns
@@ -415,15 +449,13 @@ tie_heavy_batches = st.lists(
 )
 
 
+# "serial" in the names below is a problem solved alone, in scalar steps
 def _assert_same_duals(mats):
-    # each problem's slot of the lockstep block: the serial loop's
-    # (col4row, u, v) bit for bit, and the same flag as the bare matrix
+    # each problem's slot of the lockstep block, byte for byte as solved
+    # alone, with the same flag as the bare matrix
     _, c4r, u, v, unique = _lockstep_solve(mats)
-    for b, a in enumerate(mats):
-        n, m = a.shape
-        lockstep = (c4r[b, :n], u[b, :n], v[b, :m], unique[b])
-        for serial, batched in zip(_serial_solve(a), lockstep, strict=True):
-            assert np.array_equal(serial, batched)
+    _assert_slots_equal_alone(mats, c4r, u, v)
+    assert unique.tolist() == [bool(_alone_solve(a)[3]) for a in mats]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -476,10 +508,34 @@ def test_lockstep_dead_rows_keep_serial_duals(mats, at):
     # the arrays; the long ones keep searching across each compaction
     mats[at:at] = ENDS_TOGETHER
     c4r, u, v = _lockstep(stack_padded(mats, np.inf), np.array([len(a) for a in mats]))
-    for b, a in enumerate(mats):
-        n, m = a.shape
-        for serial, batched in zip(_serial_sap(a), (c4r[b, :n], u[b, :n], v[b, :m]), strict=True):
-            assert serial.dtype == batched.dtype and serial.tobytes() == batched.tobytes()
+    _assert_slots_equal_alone(mats, c4r, u, v)
+
+
+def _staircase(n, m):
+    """An n x m problem (n < m) whose row reduction gives rows 0 .. n - 2
+    columns 0 .. n - 2, and whose last row, colliding on column 0, searches
+    n steps: column k is reached at distance k through row k - 1, until the
+    free column n - 1 ends the search."""
+    a = np.full((n, m), 10.0)
+    a[np.arange(n - 1), np.arange(n - 1)] = 0.0
+    a[np.arange(n - 1), np.arange(1, n)] = 1.0
+    a[n - 1, 0] = 0.0
+    return a
+
+
+def test_last_live_problem_switches_to_scalar_steps_mid_search():
+    # the 2 x 2 problem's one search ends in the first round, leaving the
+    # staircase alone after the first of its 7 steps: its search finishes in
+    # scalar steps from its vectorized state, and so does its second search
+    long, short = np.vstack([_staircase(7, 9), np.full((1, 9), 10.0)]), np.zeros((2, 2))
+    long[7, [0, 8]] = 0.0, 5.0
+    mats = [short, long]
+    c4r, u, v = _lockstep(stack_padded(mats, np.inf), np.array([2, 8]))
+    _assert_slots_equal_alone(mats, c4r, u, v)
+    assert c4r[0, :2].tolist() == [0, 1]
+    assert c4r[1].tolist() == [1, 2, 3, 4, 5, 6, 0, 8]
+    cm = CostMatrix(long)
+    assert solve_min_cost(cm).pairs == brute_force_min_cost(cm).pairs
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -508,7 +564,7 @@ def test_flagged_optimum_needs_no_refinement(mats):
 ])
 def test_tie_is_not_flagged(values):
     a = np.array(values)
-    assert not _serial_solve(a)[3]
+    assert not _alone_solve(a)[3]
     assert not _lockstep_solve([a, a])[4].any()
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch import evaluation, pointfile
+from pointmatch import evaluation, matching, pointfile
 from pointmatch.cli import main
 from pointmatch.pointfile import read_point_file, write_point_file
 
@@ -57,6 +57,14 @@ class TestSynth:
             paths.append((gt, pred))
         assert open(paths[0][0]).read() == open(paths[1][0]).read()
         assert open(paths[0][1]).read() == open(paths[1][1]).read()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_extremes_accepted(self, tmp_path, capsys, seed):
+        gt = str(tmp_path / "gt.csv")
+        code, _, err = run(capsys, "synth", "--seed", str(seed), "--density", "5",
+                           "--gt-out", gt, "--pred-out", str(tmp_path / "pred.csv"))
+        assert (code, err) == (0, "")
+        assert open(gt).read().count(f"synthetic-{seed},") > 0
 
     def test_zero_density_header_only(self, tmp_path, capsys):
         gt = str(tmp_path / "gt.csv")
@@ -328,6 +336,42 @@ class TestMatch:
         code, _, _ = run(capsys, "match", str(gt), str(pred))
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_finite_loss_exits_3(self, tmp_path, capsys, fmt):
+        # reg_1v1 is 1e200, and lambda_reg times it overflows the combined loss
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("image_id,x,y,class_id\nim,0,0,1\n")
+        pred.write_text("image_id,x,y,class_id,conf_bg,conf_1\n"
+                        "im,1e100,0,1,0.5,0.5\nim,5,5,1,0.9,0.1\n")
+        argv = ["match", str(gt), str(pred), "--tau", "1e-120", "--format", fmt]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--lambda-reg", "1e200") == (
+            3, "", "error: image im: the combined loss is inf, not finite\n"
+        )
+
+    def test_oversized_replicated_matrix_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 1 ground truth x beta 3 x 3 proposals = 9 replicated costs
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("image_id,x,y,class_id\nim,0,0,1\n")
+        pred.write_text("image_id,x,y,class_id,confidence\nim,1,0,1,0.9\nim,2,0,1,0.8\n"
+                        "im,3,0,1,0.7\n")
+        argv = ["match", str(gt), str(pred), "--beta", "1000000"]
+        monkeypatch.setattr(matching, "CELL_DISTANCES", 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(capsys, *argv)[0] == 0
+
+        def never(*_):
+            raise AssertionError("a cost matrix was built or solved")
+
+        monkeypatch.setattr(matching, "CELL_DISTANCES", 8)
+        monkeypatch.setattr(matching, "build_cost_matrix", never)
+        monkeypatch.setattr(matching, "solve_min_cost", never)
+        assert run(capsys, *argv) == (
+            3, "", "error: image im: 1 ground truths x beta 3 x 3 proposals: 9 replicated "
+            "costs exceed the limit of one matrix (8)\n"
+        )
+
     @pytest.mark.parametrize("confidences", [["0.1", "0.9"], [False, True], "0.1", False])
     def test_non_numeric_json_confidences_exit_2(self, tmp_path, capsys, confidences):
         gt = tmp_path / "gt.csv"
@@ -505,9 +549,13 @@ def test_inputs_read_once_and_digested(golden_inputs, capsys, monkeypatch, comma
     (["synth", "--density", "1e15"], 3, "(--density, --spurious)"),
     (["synth", "--spurious", "1e15"], 3, "(--density, --spurious)"),
     (["synth", "--num-classes", str(10**12)], 3, "--num-classes must be at most"),
+    # numpy's OverflowError, and a negative seed wrapped around to 2**64 - 1
+    (["synth", "--seed", str(2**64)], 3, "seed must be in [0, 2**64) (--seed)"),
+    (["synth", "--seed", str(2**70)], 3, "seed must be in [0, 2**64) (--seed)"),
+    (["synth", "--seed", "-1"], 3, "seed must be in [0, 2**64) (--seed)"),
 ], ids=["directory", "not-a-directory", "nested-json", "long-integer-json", "multiline-csv",
         "synth-jitter", "synth-extent-jitter", "synth-density", "synth-spurious",
-        "synth-num-classes"])
+        "synth-num-classes", "synth-seed-2**64", "synth-seed-2**70", "synth-seed-negative"])
 def test_refused_without_traceback(golden_inputs, capsys, argv, code, message):
     (golden_inputs / "deep.json").write_text("[" * 200_000)
     (golden_inputs / "digits.json").write_text(

@@ -204,6 +204,23 @@ class TestMatchHybrid:
                 assert match_hybrid(gts, preds, MatchConfig(beta=10**20)) == match_hybrid(
                     gts, preds, MatchConfig(beta=m))
 
+    def test_oversized_replicated_matrix_refused_before_any_solve(self, monkeypatch):
+        # 2 ground truths x beta min(5, 4) x 4 proposals = 32 replicated costs
+        def never(*_):
+            raise AssertionError("a cost matrix was built or solved")
+
+        gts = [LabeledPoint(0, 0, 1), LabeledPoint(9, 9, 1)]
+        preds = [PredictedPoint(i, 0, (0.5, 0.5)) for i in range(4)]
+        monkeypatch.setattr(matching, "CELL_DISTANCES", 32)
+        with pytest.warns(UserWarning):
+            assert len(match_hybrid(gts, preds, MatchConfig(beta=5))[1].matched) == 4
+        monkeypatch.setattr(matching, "CELL_DISTANCES", 31)
+        for name in ("build_cost_matrix", "solve_min_cost"):
+            monkeypatch.setattr(matching, name, never)
+        with pytest.raises(ValueError, match=r"^2 ground truths x beta 4 x 4 proposals: 32 "
+                                             r"replicated costs exceed the limit of one matrix"):
+            match_hybrid(gts, preds, MatchConfig(beta=5))
+
     def test_proposal_used_at_most_once(self):
         rng = random.Random(3)
         for _ in range(50):
@@ -332,6 +349,14 @@ class TestCombinedLoss:
         assert losses.cls_1v1 == 0.0
         assert losses.reg_1v1 == 0.0
         assert losses.combined == 0.0
+
+    def test_overflowing_loss_refused(self):
+        # reg_1v1 = 1e200 is finite, reg_weight * reg_1v1 is not
+        gts = [LabeledPoint(0, 0, 1)]
+        preds = [PredictedPoint(1e100, 0, (0.5, 0.5)), PredictedPoint(5, 5, (0.9, 0.1))]
+        assert combined_loss(gts, preds, MatchConfig(tau=1e-120)).reg_1v1 == 1e200
+        with pytest.raises(ValueError, match=r"^the combined loss is inf, not finite$"):
+            combined_loss(gts, preds, MatchConfig(tau=1e-120, reg_weight=1e200))
 
     def test_zero_one2many_weight_degenerates(self):
         rng = random.Random(9)

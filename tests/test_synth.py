@@ -110,6 +110,17 @@ class TestFigure3Fixture:
         assert good > raw
 
 
+def test_seed_outside_one_philox_word_refused():
+    for seed in (2**64, 2**70, -1, -(2**63) - 1):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            PerturbationModel(seed=seed)
+    # the extremes of the range draw, and seeds of 2**63 or more are not
+    # rounded: each of these seeds draws its own points
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 1)
+    drawn = [gen_ground_truth(PerturbationModel(seed=s, density=20.0)) for s in seeds]
+    assert all(drawn) and len({tuple(d) for d in drawn}) == len(seeds)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PerturbationModel(drop_rate=1.5)
