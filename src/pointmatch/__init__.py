@@ -7,7 +7,7 @@ flawed protocols it supersedes."""
 __version__ = "0.1.0"
 
 from .anchors import AnchorSet, GridSpec, apply_offsets, make_grid, threshold_predictions
-from .assignment import solve_max_matching, solve_min_cost, solve_min_cost_batch
+from .assignment import solve_max_matching, solve_min_cost
 from .evaluation import (
     Aggregate,
     ClassCounts,
@@ -72,6 +72,5 @@ __all__ = [
     "regression_loss",
     "solve_max_matching",
     "solve_min_cost",
-    "solve_min_cost_batch",
     "threshold_predictions",
 ]

@@ -3,6 +3,7 @@ thresholding into a final prediction set."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class GridSpec:
     def __post_init__(self):
         if self.feature_height < 1 or self.feature_width < 1:
             raise ValueError("feature map dimensions must be >= 1")
-        if self.stride <= 0:
-            raise ValueError("stride must be positive")
+        if not 0 < self.stride < math.inf:
+            raise ValueError("stride must be positive and finite")
         if self.per_cell[0] < 1 or self.per_cell[1] < 1:
             raise ValueError("per-cell anchor counts must be >= 1")
 

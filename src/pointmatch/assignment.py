@@ -10,7 +10,6 @@ absolute tolerance of 1e-9.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -228,11 +227,11 @@ def _lockstep(a_all: np.ndarray, n_of: np.ndarray):
     return c4r_all, u_all, v_all
 
 
-def _unique_optimum(a, u, v, col4row) -> np.ndarray:
-    """Per problem of a (B, N, M) block of solved matrices (each n <= m,
-    padded with +inf), whether its admissible graph (reduced cost within
-    TIE_TOL of 0) admits no optimum other than ``col4row``. ``a`` is
-    overwritten with the reduced costs.
+def _unique_optimum(eb, ei, ec, col4row, v) -> np.ndarray:
+    """Per problem of a (B, N, M) block of solved matrices (each n <= m),
+    whether its admissible graph admits no optimum other than ``col4row``.
+    The graph's edges are the (problem, row, col) triples (eb, ei, ec) of
+    reduced cost within TIE_TOL of 0, ``v`` the column duals.
 
     Another optimum exists exactly when the graph has an alternating cycle:
     in the digraph with an arc i -> owner(c) for each admissible non-matching
@@ -243,19 +242,17 @@ def _unique_optimum(a, u, v, col4row) -> np.ndarray:
     has no out-arc lie on no cycle; they are dropped until none is left, and
     a problem is flagged when no arc of it remains.
     """
-    b_all, n_max, m_max = a.shape
-    a -= u[:, :, None]
-    a -= v[:, None, :]
-    arc = a <= TIE_TOL
+    b_all, n_max = col4row.shape
+    m_max = v.shape[1]
+    arc = col4row[eb, ei] != ec
+    eb, ei, ec = eb[arc], ei[arc], ec[arc]
     pb, pi = np.nonzero(col4row >= 0)
     pc = col4row[pb, pi]
-    arc[pb, pi, pc] = False
     # node b * (N + 1) + i is row i of problem b, node b * (N + 1) + N its
     # dummy rows
     base = np.arange(0, b_all * (n_max + 1), n_max + 1)
     owner = np.repeat(base + n_max, m_max).reshape(b_all, m_max)
     owner[pb, pc] = base[pb] + pi
-    eb, ei, ec = np.nonzero(arc)
     db, dc = np.nonzero((owner != (base + n_max)[:, None]) & (v >= -TIE_TOL))
     tail = np.concatenate([base[eb] + ei, base[db] + n_max])
     head = np.concatenate([owner[eb, ec], owner[db, dc]])
@@ -378,23 +375,24 @@ def _lex_refine(adj, match_row, match_col, n_lex=None, shared=(), joins=()):
     return [(i, c) for i, c in enumerate(match_row[:n_lex]) if c != -1]
 
 
-def _refine(tight: np.ndarray, col4row: np.ndarray, u, v, transposed: bool) -> np.ndarray:
+def _refine(rows, cols, n, m, col4row: np.ndarray, u, v, transposed: bool) -> np.ndarray:
     """The col4row of the lexicographically smallest optimal assignment of a
     solved n x m problem, n <= m, with solution ``col4row`` and duals u, v;
-    ``tight`` marks its admissible edges (reduced cost within TIE_TOL of 0).
-    Smallest is in the pair list of the problem's matrix, or of its
-    transpose if ``transposed`` (a matrix with more rows than columns)."""
-    n_rows, n_cols = tight.shape[::-1] if transposed else tight.shape
+    (rows, cols), sorted by row, then column, are its admissible edges
+    (reduced cost within TIE_TOL of 0). Smallest is in the pair list of the
+    problem's matrix, or of its transpose if ``transposed`` (a matrix with
+    more rows than columns)."""
+    n_rows, n_cols = (m, n) if transposed else (n, m)
     pairs = _pairs(col4row.tolist(), transposed)
     if transposed:
-        tight, u, v = tight.T, v, u
-    n = max(n_rows, n_cols)
-    match_row = [-1] * n
-    match_col = [-1] * n
+        order = np.lexsort((rows, cols))
+        rows, cols, u, v = cols[order], rows[order], v, u
+    match_row = [-1] * m
+    match_col = [-1] * m
     for r, c in pairs:
         match_row[r] = c
         match_col[c] = r
-    # Padded to n x n with zero-cost dummy rows (N < M) or columns (N > M)
+    # Padded to m x m with zero-cost dummy rows (N < M) or columns (N > M)
     # of dual 0, the optimal solutions are exactly the perfect matchings on
     # admissible edges. A dummy is admissible against every real line of
     # zero dual, so all dummy rows reach one shared list of zero-dual
@@ -402,18 +400,18 @@ def _refine(tight: np.ndarray, col4row: np.ndarray, u, v, transposed: bool) -> n
     # no dummy edges are built. A line of negative dual thus stays matched to
     # a real one, as optimality requires. The refinement stops after the last
     # real row.
-    adj = _adjacency(*np.nonzero(tight), n)
+    adj = _adjacency(rows, cols, m)
     if transposed:
-        shared = list(range(n_cols, n))
+        shared = list(range(n_cols, m))
         joins = set(np.flatnonzero(u >= -TIE_TOL).tolist())
     else:
         shared = np.flatnonzero(v >= -TIE_TOL).tolist()
-        joins = range(n_rows, n)
+        joins = range(n_rows, m)
     # the dummies take the free columns here: augmenting from each dummy
     # row in _lex_refine would rescan ``shared`` once per dummy, 5.3M scan
     # steps instead of ~300 for a 120 x 3136 problem
-    free_rows = [r for r in range(n) if match_row[r] == -1]
-    free_cols = [c for c in range(n) if match_col[c] == -1]
+    free_rows = [r for r in range(m) if match_row[r] == -1]
+    free_cols = [c for c in range(m) if match_col[c] == -1]
     for r, c in zip(free_rows, free_cols):
         match_row[r] = c
         match_col[c] = r
@@ -433,20 +431,26 @@ def min_cost_block(a_all: np.ndarray, n_of, m_of, transposed) -> np.ndarray:
 
     ``_lockstep`` solves every block, of one problem or many: vectorized
     rounds while two or more problems are live, scalar steps for the last
-    one, with the same duals either way. ``_unique_optimum`` then overwrites
-    ``a_all`` with the reduced costs. A solution with no other optimum is
-    returned as it is; only the others run the refinement, on the admissible
-    edges of their reduced costs.
+    one, with the same duals either way. ``a_all`` is then overwritten with
+    the reduced costs, and their admissible edges are taken once, as
+    (problem, row, col) triples sorted in that order. ``_unique_optimum``
+    reads them all: a solution with no other optimum is returned as it is.
+    Only the others run the refinement, each on its problem's run of edges.
     """
     b_all, n_max, _ = a_all.shape
     if not n_max:  # no row to assign, and perhaps no column to reduce over
         return np.zeros((b_all, 0), dtype=np.int64)
     c4r, u, v = _lockstep(a_all, n_of)
-    unique = _unique_optimum(a_all, u, v, c4r)
-    for b in np.flatnonzero(~unique).tolist():
+    a_all -= u[:, :, None]
+    a_all -= v[:, None, :]
+    eb, ei, ec = np.nonzero(a_all <= TIE_TOL)
+    flagged = np.flatnonzero(~_unique_optimum(eb, ei, ec, c4r, v))
+    runs = np.searchsorted(eb, [flagged, flagged + 1]).T.tolist()
+    for b, (lo, hi) in zip(flagged.tolist(), runs):
         n, m = n_of[b], m_of[b]
-        tight = a_all[b, :n, :m] <= TIE_TOL
-        c4r[b, :n] = _refine(tight, c4r[b, :n], u[b, :n], v[b, :m], transposed[b])
+        c4r[b, :n] = _refine(
+            ei[lo:hi], ec[lo:hi], n, m, c4r[b, :n], u[b, :n], v[b, :m], transposed[b]
+        )
     return c4r
 
 
@@ -455,36 +459,19 @@ def _pairs(col4row, transposed: bool) -> list[tuple[int, int]]:
     return [(j, i) if transposed else (i, j) for i, j in enumerate(col4row) if j >= 0]
 
 
-def solve_min_cost_batch(costs: Sequence[CostMatrix]) -> list[Assignment]:
-    """``solve_min_cost`` of each matrix, in order.
-
-    The matrices, each with its smaller side as rows, are padded into blocks
-    of at most BLOCK_ELEMENTS elements (``block_batches``) and each block is
-    solved by ``min_cost_block``, whose one driver advances all of a block's
-    searches together, one numpy round per Dijkstra step, and finishes the
-    last live matrix with scalar steps. A matrix's duals are the same alone
-    or in a block, so the batching never changes a pair list.
-    """
-    out = []
-    for batch in block_batches(costs, lambda c: c.values.shape):
-        flip = [c.rows > c.cols for c in batch]
-        mats = [c.values.T if f else c.values for c, f in zip(batch, flip)]
-        n_of, m_of = np.array([a.shape for a in mats]).T
-        col4row = min_cost_block(stack_padded(mats, np.inf), n_of, m_of, flip)
-        out += [
-            _finish(_pairs(c4r, f), c.rows, c.cols)
-            for c, f, c4r in zip(batch, flip, col4row.tolist())
-        ]
-    return out
-
-
 def solve_min_cost(costs: CostMatrix) -> Assignment:
     """Minimum-cost assignment of size min(rows, cols).
 
     Among equal-cost optima (within 1e-9) returns the lexicographically
-    smallest pair list. Empty matrices yield the empty assignment.
+    smallest pair list. Empty matrices yield the empty assignment. The
+    matrix, with its smaller side as rows, is solved by ``min_cost_block``
+    as a block of one problem.
     """
-    return solve_min_cost_batch([costs])[0]
+    flip = costs.rows > costs.cols
+    a = costs.values.T if flip else costs.values
+    n_of, m_of = np.array(a.shape)[:, None]
+    col4row = min_cost_block(a[None].copy(), n_of, m_of, [flip])
+    return _finish(_pairs(col4row[0].tolist(), flip), costs.rows, costs.cols)
 
 
 def max_matching_edges(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -137,19 +137,20 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
     ``block_batches`` in ascending order of their sorted sides (a stable
     sort), so a batch holds cells of similar shape and pads few distances."""
     images = sorted(set(gt_by_image) | set(pred_by_image))
-    empty = as_point_set(())
-    sets = [
-        (as_point_set(gt_by_image.get(i, empty)), as_point_set(pred_by_image.get(i, empty)))
-        for i in images
-    ]
     ids = np.asarray(class_ids)
 
-    def sizes(cls):
-        cls = np.sort(cls)
-        return np.searchsorted(cls, ids, side="right") - np.searchsorted(cls, ids)
+    def by_class(points):
+        # the points sorted by class, stably, so each class keeps file order,
+        # and each class's bounds in that order
+        points = as_point_set(points)
+        order = np.argsort(points.cls, kind="stable")
+        cls = points.cls[order]
+        return points.xy[order], np.searchsorted(cls, ids), np.searchsorted(cls, ids, "right")
 
+    sides = [[by_class(by_image.get(i, ())) for i in images]
+             for by_image in (gt_by_image, pred_by_image)]
     # the size pass: each cell's ground truths n and predictions m
-    n, m = (np.array([sizes(s[side].cls) for s in sets]).reshape(-1) for side in (0, 1))
+    n, m = (np.array([hi - lo for _, lo, hi in side]).reshape(-1) for side in sides)
     over = np.flatnonzero(n * m > CELL_DISTANCES)
     if over.size:
         k = over[0]
@@ -159,8 +160,8 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
         )
 
     def cell(k):
-        (gts, preds), cls = sets[k // len(ids)], class_ids[k % len(ids)]
-        return gts.xy[gts.cls == cls], preds.xy[preds.cls == cls]
+        i, c = divmod(k, len(ids))
+        return tuple(xy[lo[c]:hi[c]] for xy, lo, hi in (side[i] for side in sides))
 
     order = np.lexsort((np.maximum(n, m), np.minimum(n, m)))
     batches = block_batches(order.tolist(), lambda k: (n[k], m[k]))

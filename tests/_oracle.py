@@ -1,7 +1,7 @@
 """Exhaustive brute-force oracles for small assignment and matching
 instances, with the same lexicographic tie-break as the solvers in
-``assignment``. Only the tests import this module; ``import pointmatch``
-does not load it.
+``pointmatch.assignment``. A test helper: the installed package does not
+ship it.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
-from .assignment import TIE_TOL, _finish
-from .types import Assignment, BoolMatrix, CostMatrix
+from pointmatch.assignment import TIE_TOL, _finish
+from pointmatch.types import Assignment, BoolMatrix, CostMatrix
 
 # factorial enumeration bound for brute_force_min_cost
 MAX_BRUTE_MIN_SIDE = 8

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
+from _oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.assignment import solve_max_matching, solve_min_cost
 from pointmatch.cli import main
 from pointmatch.evaluation import (

@@ -27,6 +27,13 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             GridSpec(1, 1, 4, (0, 2))
 
+    @pytest.mark.parametrize("stride", [float("nan"), float("inf")])
+    def test_rejects_non_finite_stride(self, stride):
+        # NaN fails no comparison: it would pass a `stride <= 0` check and
+        # place every anchor at NaN
+        with pytest.raises(ValueError, match="stride"):
+            GridSpec(2, 2, stride)
+
 
 class TestApplyOffsets:
     def test_zero_offsets_are_identity(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
+from _oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.anchors import GridSpec, make_grid
 from pointmatch.assignment import (
     TIE_TOL,
@@ -21,7 +21,6 @@ from pointmatch.assignment import (
     min_cost_block,
     solve_max_matching,
     solve_min_cost,
-    solve_min_cost_batch,
     stack_padded,
 )
 from pointmatch.types import Assignment, BoolMatrix, CostMatrix
@@ -35,23 +34,33 @@ def _same_bytes(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _flag(block, c4r, u, v):
+    """The admissible (problem, row, col) edges of a solved block, taken as
+    ``min_cost_block`` takes them (the block is overwritten with reduced
+    costs), and ``_unique_optimum``'s flag of each problem's solution."""
+    block -= u[:, :, None]
+    block -= v[:, None, :]
+    edges = np.nonzero(block <= TIE_TOL)
+    return edges, _unique_optimum(*edges, c4r, v)
+
+
 def _alone_solve(a):
     """``_lockstep`` of one matrix (n <= m) as a block of its own, so in
     scalar steps throughout, and ``_unique_optimum``'s flag of its solution,
     as (col4row, u, v, unique)."""
     col4row, u, v = (x[0] for x in _lockstep(a[None].copy(), np.array([len(a)])))
-    unique = _unique_optimum(a[None].copy(), u[None], v[None], col4row[None])[0]
+    unique = _flag(a[None].copy(), col4row[None], u[None], v[None])[1][0]
     return col4row, u, v, unique
 
 
 def _lockstep_solve(mats):
-    """The padded block of ``mats`` (each n <= m) and ``_lockstep``'s
-    (col4row, u, v) of it, after ``_unique_optimum`` has flagged each
-    solution (returned too) and overwritten the block with reduced costs."""
+    """``_lockstep``'s (col4row, u, v) of the padded block of ``mats`` (each
+    n <= m), with the block's admissible edges before them and
+    ``_unique_optimum``'s flag of each solution after them."""
     block = stack_padded(mats, np.inf)
     c4r, u, v = _lockstep(block, np.array([len(a) for a in mats]))
-    unique = _unique_optimum(block, u, v, c4r)
-    return block, c4r, u, v, unique
+    edges, unique = _flag(block, c4r, u, v)
+    return edges, c4r, u, v, unique
 
 
 def _assert_slots_equal_alone(mats, c4r, u, v):
@@ -539,19 +548,21 @@ def test_last_live_problem_switches_to_scalar_steps_mid_search():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(tie_heavy_batches)
-def test_flagged_optimum_needs_no_refinement(mats):
-    # the flag is sound: refining every problem, flagged or not, returns
-    # min_cost_block's col4row, for the pair lists of the matrices and of
-    # their transposes (which the solver solves as the matrices)
-    block, c4r, u, v, _ = _lockstep_solve(mats)
+@given(tie_heavy_batches, st.lists(st.booleans(), min_size=40, max_size=40))
+def test_flagged_optimum_needs_no_refinement(mats, flips):
+    # the flag is sound: refining every problem, flagged or not, on its run
+    # of the block's edges returns min_cost_block's col4row. Each problem is
+    # ordered by the pair list of its matrix or of its transpose (which the
+    # solver solves as the matrix), so one block mixes both orientations,
+    # and each problem is refined in both
+    (eb, ei, ec), c4r, u, v, _ = _lockstep_solve(mats)
     n_of, m_of = np.array([a.shape for a in mats]).T
-    for transposed in (False, True):
-        flip = [transposed] * len(mats)
+    flips = flips[: len(mats)]
+    for flip in (flips, [not f for f in flips]):
         solved = min_cost_block(stack_padded(mats, np.inf), n_of, m_of, flip)
         for b, (n, m) in enumerate(zip(n_of, m_of)):
-            tight = block[b, :n, :m] <= TIE_TOL
-            refined = _refine(tight, c4r[b, :n], u[b, :n], v[b, :m], transposed)
+            run = eb == b
+            refined = _refine(ei[run], ec[run], n, m, c4r[b, :n], u[b, :n], v[b, :m], flip[b])
             assert np.array_equal(solved[b, :n], refined)
 
 
@@ -568,20 +579,23 @@ def test_tie_is_not_flagged(values):
     assert not _lockstep_solve([a, a])[4].any()
 
 
-def test_batch_with_one_large_matrix_pads_no_small_one():
+def test_each_matrix_solves_within_its_memory_bound():
     # one 600 x 600 matrix among 63 small ones, some of them transposed or
-    # empty: padding every matrix to its shape would take 184 MB
+    # empty: each is solved as a block of its own, the large one included
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     rng = np.random.default_rng(3)
     shapes = [(5, 5), (5, 3), (3, 5), (0, 4)] * 10 + [(600, 600)] + [(5, 5)] * 23
-    mats = [CostMatrix(rng.integers(0, 20, shape).astype(float)) for shape in shapes]
-    tracemalloc.start()
-    try:
-        batched = solve_min_cost_batch(mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12e6
-    assert batched == [solve_min_cost(cm) for cm in mats]
+    for shape in shapes:
+        cm = CostMatrix(rng.integers(0, 20, shape).astype(float))
+        tracemalloc.start()
+        try:
+            got = solve_min_cost(cm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+        rows, cols = linear_sum_assignment(cm.values)
+        assert cost_of(cm.values, got) == cm.values[rows, cols].sum()
 
 
 def _sparse_cell(rows, cols, density, seed):

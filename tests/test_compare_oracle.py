@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pointmatch._oracle import brute_force_max_matching, brute_force_min_cost
+from _oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.cli import main
 from pointmatch.pointfile import PointRecord, write_point_file
 from pointmatch.types import BoolMatrix, CostMatrix, distance_matrix

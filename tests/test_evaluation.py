@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pointmatch import assignment, evaluation
-from pointmatch._oracle import brute_force_max_matching
+from _oracle import brute_force_max_matching
 from pointmatch.assignment import solve_min_cost
 from pointmatch.evaluation import (
     Aggregate,
