@@ -1,6 +1,6 @@
 """Command-line interface: evaluate, compare, match and synth subcommands.
 
-Exit codes: 0 success, 2 input parse error, 3 configuration error.
+Exit codes: 0 success, 2 input parse error, 3 configuration error or bad option.
 """
 
 from __future__ import annotations
@@ -23,23 +23,21 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 
-_PROTOCOL_FLAGS = {
-    "matched": Protocol.MATCHED,
-    "raw-hungarian": Protocol.RAW_HUNGARIAN,
-    "greedy": Protocol.GREEDY,
-}
-_AGGREGATE_FLAGS = {
-    "dataset-counts": Aggregate.DATASET_COUNTS,
-    "per-image-mean": Aggregate.PER_IMAGE_MEAN,
-}
-
 
 class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad value, an unknown option or a missing argument is a
+    configuration error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pointmatch",
         description="Point-set matching and detection F1 evaluation toolkit",
     )
@@ -51,14 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, default=6.0, help="match radius in pixels")
         p.add_argument("--class-ids", default=None, help="comma-separated class ids, e.g. 1,2,3,4")
         p.add_argument("--classes", default=None, help="comma-separated class names bound to ids 1..T")
-        p.add_argument("--aggregate", default="dataset-counts")
+        p.add_argument("--aggregate", default="dataset-counts",
+                       choices=[a.value.replace("_", "-") for a in Aggregate])
         p.add_argument("--format", dest="fmt", default="table", choices=["table", "json", "csv"])
         p.add_argument("--output", default=None, help="write report here instead of stdout")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
     add_common_eval(p_eval)
     p_eval.add_argument("--protocol", default="matched",
-                        help="matched | raw-hungarian | greedy")
+                        choices=[p.value.replace("_", "-") for p in Protocol])
 
     p_cmp = sub.add_parser("compare", help="run all three protocols side by side")
     add_common_eval(p_cmp)
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic gt/prediction pair")
     p_synth.add_argument("--gt-out", required=True)
     p_synth.add_argument("--pred-out", required=True)
-    p_synth.add_argument("--fixture", default=None, help="named fixture, e.g. figure3")
+    p_synth.add_argument("--fixture", default=None, choices=["figure3"], help="named fixture")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--density", type=float, default=30.0)
     p_synth.add_argument("--extent", type=float, nargs=2, default=(224.0, 224.0),
@@ -107,12 +106,10 @@ def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
 
 
 def _load_eval_inputs(args):
-    """The checked ``--aggregate`` and ``--radius`` of ``evaluate`` and
+    """The ``--aggregate`` and the checked ``--radius`` of ``evaluate`` and
     ``compare``, then their inputs: the two tables, points by image, class
     ids and names."""
-    aggregate = _AGGREGATE_FLAGS.get(args.aggregate)
-    if aggregate is None:
-        raise ConfigError(f"unknown aggregate mode: {args.aggregate}")
+    aggregate = Aggregate(args.aggregate.replace("-", "_"))
     EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
@@ -166,9 +163,7 @@ def _write_report(args, tables, config: dict, payload: dict, render) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    protocol = _PROTOCOL_FLAGS.get(args.protocol)
-    if protocol is None:
-        raise ConfigError(f"unknown protocol: {args.protocol}")
+    protocol = Protocol(args.protocol.replace("-", "_"))
     aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     config = EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
@@ -277,12 +272,7 @@ def cmd_match(args) -> int:
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
         gts = gt_by_image.get(image_id) or as_point_set(())
         preds = pred_by_image.get(image_id) or as_point_set(())
-        if len(gts) > len(preds):
-            raise ConfigError(
-                f"image {image_id}: {len(gts)} ground truths but only "
-                f"{len(preds)} proposals"
-            )
-        try:  # the hybrid matcher refuses an oversized matrix before any is built
+        try:  # match_hybrid refuses too few proposals and an oversized matrix
             one2one, one2many = matching.match_hybrid(gts, preds, config)
             costs = matching.build_cost_matrix(gts, preds, config.tau)
             losses = matching.combined_loss(gts, preds, config)
@@ -339,8 +329,6 @@ def cmd_match(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.fixture is not None:
-        if args.fixture != "figure3":
-            raise ConfigError(f"unknown fixture: {args.fixture}")
         image_id = "figure3"
         gts, preds = synth.figure3_fixture()
     else:
@@ -378,9 +366,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (PointFileError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)

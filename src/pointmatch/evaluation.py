@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
-from .types import CELL_DISTANCES, Points, as_point_set, distance_matrix
+from .types import _COORD_ERROR, _MAX_COORD, CELL_DISTANCES, Points, as_point_set, distance_matrix
 
 
 class Protocol(str, enum.Enum):
@@ -140,17 +140,19 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
     ids = np.asarray(class_ids)
 
     def by_class(points):
-        # the points sorted by class, stably, so each class keeps file order,
-        # and each class's bounds in that order
+        # the coordinates, their order sorted by class, stably, so each class
+        # keeps file order, and each class's bounds in that order
         points = as_point_set(points)
+        if not (np.abs(points.xy) <= _MAX_COORD).all():  # NaN fails too
+            raise ValueError(_COORD_ERROR)
         order = np.argsort(points.cls, kind="stable")
         cls = points.cls[order]
-        return points.xy[order], np.searchsorted(cls, ids), np.searchsorted(cls, ids, "right")
+        return points.xy, order, np.searchsorted(cls, ids), np.searchsorted(cls, ids, "right")
 
     sides = [[by_class(by_image.get(i, ())) for i in images]
              for by_image in (gt_by_image, pred_by_image)]
     # the size pass: each cell's ground truths n and predictions m
-    n, m = (np.array([hi - lo for _, lo, hi in side]).reshape(-1) for side in sides)
+    n, m = (np.array([hi - lo for _, _, lo, hi in side]).reshape(-1) for side in sides)
     over = np.flatnonzero(n * m > CELL_DISTANCES)
     if over.size:
         k = over[0]
@@ -161,7 +163,7 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
 
     def cell(k):
         i, c = divmod(k, len(ids))
-        return tuple(xy[lo[c]:hi[c]] for xy, lo, hi in (side[i] for side in sides))
+        return tuple(xy[order[lo[c]:hi[c]]] for xy, order, lo, hi in (side[i] for side in sides))
 
     order = np.lexsort((np.maximum(n, m), np.minimum(n, m)))
     batches = block_batches(order.tolist(), lambda k: (n[k], m[k]))

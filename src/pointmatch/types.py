@@ -68,7 +68,8 @@ class PointSet:
 
     Whoever builds one has validated it: ``pointfile`` checks whole files
     at load, and ``LabeledPoint`` and ``PredictedPoint`` check each point
-    they are built from.
+    they are built from. Evaluation refuses a coordinate that is not within
+    ``_MAX_COORD`` (NaN included) with their message.
     """
 
     xy: np.ndarray
@@ -87,15 +88,16 @@ def as_point_set(points: Points) -> PointSet:
     """``points`` unchanged if it is a PointSet, else the PointSet of a
     sequence of LabeledPoints or of PredictedPoints.
 
-    PredictedPoint vectors are cut to the length of the shortest one, and
-    each proposal's class is its most confident foreground class.
+    PredictedPoint vectors must all have one length, and each proposal's
+    class is its most confident foreground class.
     """
     if isinstance(points, PointSet):
         return points
     xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     if points and isinstance(points[0], PredictedPoint):
-        width = min(len(p.confidences) for p in points)
-        conf = np.array([p.confidences[:width] for p in points], dtype=float)
+        if len({len(p.confidences) for p in points}) > 1:
+            raise ValueError("confidences must all have the same length")
+        conf = np.array([p.confidences for p in points], dtype=float)
         return PointSet(xy, 1 + conf[:, 1:].argmax(axis=1), conf)
     return PointSet(xy, np.array([p.class_id for p in points], dtype=np.int64))
 

@@ -333,8 +333,10 @@ class TestMatch:
         gt.write_text("image_id,x,y,class_id\nim,10,10,1\nim,20,20,1\n")
         pred = tmp_path / "pred.csv"
         pred.write_text("image_id,x,y,class_id,confidence\nim,11,10,1,0.9\n")
-        code, _, _ = run(capsys, "match", str(gt), str(pred))
-        assert code == 3
+        code, out, err = run(capsys, "match", str(gt), str(pred))
+        assert (code, out) == (3, "")
+        assert err == ("error: image im: insufficient proposals: "
+                       "2 ground truths but only 1 proposals\n")
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_non_finite_loss_exits_3(self, tmp_path, capsys, fmt):
@@ -533,8 +535,9 @@ def test_inputs_read_once_and_digested(golden_inputs, capsys, monkeypatch, comma
     }
 
 
-# inputs that once ended in a traceback: each is refused with one error line
-# (an exception that escaped main would fail the test)
+# inputs that once ended in a traceback, or in a usage dump and exit 2: each
+# is refused with one error line (an exception or a SystemExit that escaped
+# main would fail the test)
 @pytest.mark.parametrize("argv, code, message", [
     (["evaluate", "{tmp}", "{tmp}"], 2, "Is a directory"),
     (["compare", "{tmp}/fig_gt.csv/x.csv", "{tmp}/fig_pred.csv"], 2, "Not a directory"),
@@ -553,9 +556,26 @@ def test_inputs_read_once_and_digested(golden_inputs, capsys, monkeypatch, comma
     (["synth", "--seed", str(2**64)], 3, "seed must be in [0, 2**64) (--seed)"),
     (["synth", "--seed", str(2**70)], 3, "seed must be in [0, 2**64) (--seed)"),
     (["synth", "--seed", "-1"], 3, "seed must be in [0, 2**64) (--seed)"),
+    # option faults that argparse finds
+    (["evaluate", "{tmp}/fig_gt.csv", "{tmp}/fig_pred.csv", "--format", "xml"], 3,
+     "error: argument --format: invalid choice: 'xml'"),
+    (["evaluate", "{tmp}/fig_gt.csv", "{tmp}/fig_pred.csv", "--radius", "abc"], 3,
+     "error: argument --radius: invalid float value: 'abc'"),
+    (["match", "{tmp}/fig_gt.csv", "{tmp}/match_pred.csv", "--beta", "1.5"], 3,
+     "error: argument --beta: invalid int value: '1.5'"),
+    (["evaluate", "{tmp}/fig_gt.csv", "{tmp}/fig_pred.csv", "--protocol", "foo"], 3,
+     "error: argument --protocol: invalid choice: 'foo'"),
+    (["compare", "{tmp}/fig_gt.csv", "{tmp}/fig_pred.csv", "--aggregate", "foo"], 3,
+     "error: argument --aggregate: invalid choice: 'foo'"),
+    (["synth", "--fixture", "nope"], 3, "error: argument --fixture: invalid choice: 'nope'"),
+    (["compare", "{tmp}/fig_gt.csv", "{tmp}/fig_pred.csv", "--foo"], 3,
+     "error: unrecognized arguments: --foo"),
+    (["evaluate", "{tmp}/fig_gt.csv"], 3, "error: the following arguments are required: pred"),
 ], ids=["directory", "not-a-directory", "nested-json", "long-integer-json", "multiline-csv",
         "synth-jitter", "synth-extent-jitter", "synth-density", "synth-spurious",
-        "synth-num-classes", "synth-seed-2**64", "synth-seed-2**70", "synth-seed-negative"])
+        "synth-num-classes", "synth-seed-2**64", "synth-seed-2**70", "synth-seed-negative",
+        "option-format", "option-radius", "option-beta", "option-protocol", "option-aggregate",
+        "option-fixture", "option-unknown", "option-missing-positional"])
 def test_refused_without_traceback(golden_inputs, capsys, argv, code, message):
     (golden_inputs / "deep.json").write_text("[" * 200_000)
     (golden_inputs / "digits.json").write_text(
@@ -569,7 +589,15 @@ def test_refused_without_traceback(golden_inputs, capsys, argv, code, message):
     returned, out, err = run(capsys, *argv)
     assert (returned, out) == (code, "")
     assert err.count("error:") == 1 and err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "usage:" not in err
     assert not (golden_inputs / "g.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"], ["synth", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: pointmatch")
 
 
 @pytest.fixture(scope="module")

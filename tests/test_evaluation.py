@@ -474,3 +474,19 @@ def test_points_refuse_what_files_refuse():
     for confidences in ((math.nan, 0.5), (0.5, 1.5), (-0.1, 0.5)):
         with pytest.raises(ValueError, match="confidences must lie in"):
             PredictedPoint(0.0, 0.0, confidences)
+
+
+@pytest.mark.parametrize("side", ["gt", "pred"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_point_sets_refuse_what_files_refuse(bad, side):
+    # a PointSet is built unchecked; let through, such a coordinate makes the
+    # min-cost solve loop on NaN reduced costs, or scores as unmatched
+    good = PointSet(np.array([[0.0, 0.0], [5.0, 1.0]]), np.array([1, 1]))
+    outside = PointSet(np.array([[0.0, 0.0], [bad, 1.0]]), np.array([1, 1]))
+    gts, preds = (outside, good) if side == "gt" else (good, outside)
+    message = "coordinates must be finite and at most 1e\\+100 in absolute value"
+    for match in (match_thresholded, match_raw_hungarian, match_greedy):
+        with pytest.raises(ValueError, match=message):
+            match(gts, preds, 6.0)
+    with pytest.raises(ValueError, match=message):
+        compare_protocols({"im": gts}, {"im": preds}, 6.0, (1,))

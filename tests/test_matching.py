@@ -70,6 +70,15 @@ class TestBuildCostMatrix:
             build_cost_matrix(gts, as_point_set([LabeledPoint(1, 1, 1)]), 0.05)
 
 
+def test_predicted_point_adapter_refuses_mixed_widths():
+    # cutting to the shortest vector would drop the first proposal's class 2
+    preds = [PredictedPoint(0, 0, (0.1, 0.1, 0.8)), PredictedPoint(5, 0, (0.5, 0.5))]
+    with pytest.raises(ValueError, match="confidences must all have the same length"):
+        as_point_set(preds)
+    with pytest.raises(ValueError, match="confidences must all have the same length"):
+        build_cost_matrix([LabeledPoint(0, 0, 2)], preds)
+
+
 @pytest.mark.filterwarnings("ignore:replicated targets")
 @pytest.mark.parametrize("num_classes", [1, 3])
 def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
