@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -129,12 +130,6 @@ def _load_eval_inputs(args):
     return aggregate, (gt_table, pred_table), gt_by_image, pred_by_image, class_ids, names
 
 
-def _fmt_float(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.4f}"
-
-
 def _manifest_lines(manifest: RunManifest) -> list[str]:
     lines = [f"# tool_version: {manifest.tool_version}"]
     for k, v in sorted(manifest.config.items()):
@@ -180,15 +175,15 @@ def cmd_evaluate(args) -> int:
             return [
                 "class_id,class,tp,fp,fn,f1",
                 *(f"{r['class_id']},{r['class']},{r['tp']},{r['fp']},{r['fn']},"
-                  f"{_fmt_float(r['f1'])}" for r in per_class),
-                f"macro,,,,,{_fmt_float(report.macro_f1)}",
+                  f"{r['f1']:.4f}" for r in per_class),
+                f"macro,,,,,{report.macro_f1:.4f}",
             ]
         return [
             f"protocol: {protocol.value}  images: {report.images}",
             f"{'class':>12} {'tp':>6} {'fp':>6} {'fn':>6} {'f1':>8}",
             *(f"{r['class']:>12} {r['tp']:>6} {r['fp']:>6} {r['fn']:>6} "
-              f"{_fmt_float(r['f1']):>8}" for r in per_class),
-            f"{'macro_f1':>12} {'':>6} {'':>6} {'':>6} {_fmt_float(report.macro_f1):>8}",
+              f"{r['f1']:>8.4f}" for r in per_class),
+            f"{'macro_f1':>12} {'':>6} {'':>6} {'':>6} {report.macro_f1:>8.4f}",
         ]
 
     return _write_report(
@@ -225,11 +220,11 @@ def cmd_compare(args) -> int:
         cells = [("protocol", "class", "f1", "delta_pct" if fmt == "csv" else "delta%")]
         for row in table:
             cells += [
-                (row["protocol"], pc["class"], _fmt_float(pc["f1"]), _fmt_float(pc["delta_pct"]))
+                (row["protocol"], pc["class"], f"{pc['f1']:.4f}", f"{pc['delta_pct']:.4f}")
                 for pc in row["per_class"]
             ]
-            cells.append((row["protocol"], "macro", _fmt_float(row["macro_f1"]),
-                          _fmt_float(row["macro_delta_pct"])))
+            cells.append((row["protocol"], "macro", f"{row['macro_f1']:.4f}",
+                          f"{row['macro_delta_pct']:.4f}"))
         return [sep.join(c.rjust(w) for c, w in zip(line, widths)) for line in cells]
 
     return _write_report(
@@ -268,16 +263,19 @@ def cmd_match(args) -> int:
     pred_by_image = pointfile.group_predicted(pred_table, num_classes)
     config = replace(config, class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
 
-    images = []
+    images, notes = [], []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
         gts = gt_by_image.get(image_id) or as_point_set(())
         preds = pred_by_image.get(image_id) or as_point_set(())
-        try:  # match_hybrid refuses too few proposals and an oversized matrix
-            one2one, one2many = matching.match_hybrid(gts, preds, config)
-            costs = matching.build_cost_matrix(gts, preds, config.tau)
-            losses = matching.combined_loss(gts, preds, config)
-        except ValueError as exc:
-            raise ConfigError(f"image {image_id}: {exc}") from None
+        with warnings.catch_warnings(record=True) as caught:  # printed once, after the report
+            warnings.simplefilter("always")
+            try:  # match_hybrid refuses too few proposals and an oversized matrix
+                one2one, one2many = matching.match_hybrid(gts, preds, config)
+                costs = matching.build_cost_matrix(gts, preds, config.tau)
+                losses = matching.combined_loss(gts, preds, config)
+            except ValueError as exc:
+                raise ConfigError(f"image {image_id}: {exc}") from None
+        notes += dict.fromkeys(f"warning: image {image_id}: {w.message}\n" for w in caught)
         gxy, pxy = gts.xy.tolist(), preds.xy.tolist()
 
         def dump(outcome):
@@ -316,7 +314,7 @@ def cmd_match(args) -> int:
             )
         return lines
 
-    return _write_report(
+    code = _write_report(
         args,
         (gt_table, pred_table),
         {"tau": args.tau, "beta": args.beta, "lambda_bg": args.lambda_bg,
@@ -325,6 +323,8 @@ def cmd_match(args) -> int:
         {"images": images},
         render,
     )
+    sys.stderr.writelines(notes)
+    return code
 
 
 def cmd_synth(args) -> int:

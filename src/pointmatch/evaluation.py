@@ -5,18 +5,19 @@ greedy one-to-many), with per-class and macro F1 reporting.
 Matching is computed independently per class: a prediction can only ever
 match a ground truth of the same class. Images are ``PointSet`` columns and
 evaluation is a stream of (image, class) cells. A size pass refuses a
-dataset with a cell of more than ``CELL_DISTANCES`` distances; otherwise the
-cells go, in ascending order of their sorted sides, to ``block_batches``,
-which cuts them into batches of at most ``BLOCK_ELEMENTS`` padded distances
-(a cell over that budget is a batch of its own), and their counts return to
-(image, class) order. ``score_cells`` builds a batch's distances once, as
-one padded (B, N, M) block with each cell's smaller side as rows, and scores
-it under every protocol requested, all three under ``compare_protocols``:
-one min-cost solve of the block for raw Hungarian, and one maximum matching
+dataset with a cell of more than ``CELL_DISTANCES`` distances. A cell of n
+ground truths and m predictions without a pair (n * m = 0) counts TP 0,
+FP m, FN n and is neither built nor scored. The others go, in ascending
+order of their sorted sides, to ``block_batches``, which cuts them into
+batches of at most ``BLOCK_ELEMENTS`` padded distances (a cell over that
+budget is a batch of its own), and each batch's counts are written in
+place. ``score_cells`` builds a batch's distances once, as one padded
+(B, N, M) block with each cell's smaller side as rows, and scores it under
+every protocol requested, all three under ``compare_protocols``: one
+min-cost solve of the block for raw Hungarian, and one maximum matching
 over its entries within the radius for the matched protocol, whose edges
 greedy reads too. Every protocol reads a cell's dense N x M distances, so
-memory stays O(N * M) per cell. Counts come back as arrays of TP, FP and
-FN.
+memory stays O(N * M) per cell.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Pro
 
 def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[Protocol, np.ndarray]:
     """TP, FP and FN per protocol as an (images, classes, 3) array, images
-    being the union of image ids in sorted order. Cells go to
-    ``block_batches`` in ascending order of their sorted sides (a stable
-    sort), so a batch holds cells of similar shape and pads few distances."""
+    being the union of image ids in sorted order. A cell without a pair
+    counts (0, m, n) and is not scored; the others go to ``block_batches`` in
+    ascending order of their sorted sides (a stable sort), so a batch holds
+    cells of similar shape and pads few distances."""
     images = sorted(set(gt_by_image) | set(pred_by_image))
     ids = np.asarray(class_ids)
 
@@ -165,12 +167,13 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[
         i, c = divmod(k, len(ids))
         return tuple(xy[order[lo[c]:hi[c]]] for xy, order, lo, hi in (side[i] for side in sides))
 
+    counts = {p: np.stack([np.zeros_like(n), m, n], axis=1) for p in protocols}
     order = np.lexsort((np.maximum(n, m), np.minimum(n, m)))
-    batches = block_batches(order.tolist(), lambda k: (n[k], m[k]))
-    scored = [score_cells([cell(k) for k in batch], radius, protocols) for batch in batches]
-    rank = np.argsort(order)  # each cell's place in shape order
-    counts = {p: [np.zeros((0, 3), dtype=np.int64), *(s[p] for s in scored)] for p in protocols}
-    return {p: np.concatenate(c)[rank].reshape(len(images), len(ids), 3) for p, c in counts.items()}
+    order = order[n[order] * m[order] > 0]
+    for batch in block_batches(order.tolist(), lambda k: (n[k], m[k])):
+        for p, c in score_cells([cell(k) for k in batch], radius, protocols).items():
+            counts[p][batch] = c
+    return {p: c.reshape(len(images), len(ids), 3) for p, c in counts.items()}
 
 
 def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
@@ -225,8 +228,8 @@ def _report(protocol: Protocol, counts: np.ndarray, config: EvalConfig) -> EvalR
         if config.aggregate is Aggregate.DATASET_COUNTS:
             f1 = f1_from_counts(total)
         else:
-            f1s = [f1_from_counts(ClassCounts(cls, *c)) for c in counts[:, j].tolist()]
-            f1 = sum(f1s) / len(f1s) if f1s else 0.0
+            hits = counts[counts[:, j, 0] > 0, j].tolist()  # the rest score 0.0
+            f1 = sum(f1_from_counts(ClassCounts(cls, *c)) for c in hits) / max(len(counts), 1)
         per_class.append((total, f1))
 
     macro = sum(f1 for _, f1 in per_class) / len(per_class)
@@ -266,9 +269,8 @@ class ProtocolComparison:
 
 
 def _delta_pct(value: float, reference: float) -> float:
-    if reference > 0:
-        return 100.0 * (value - reference) / reference
-    return 0.0 if value == reference else float("inf")
+    # a matched F1 of 0 leaves no pair within the radius for any protocol
+    return 100.0 * (value - reference) / reference if reference > 0 else 0.0
 
 
 def compare_protocols(
@@ -290,9 +292,7 @@ def compare_protocols(
     for protocol in Protocol:
         rep = reports[protocol]
         per_class_f1 = tuple((c.class_id, f1) for c, f1 in rep.per_class)
-        deltas = tuple(
-            (cls, _delta_pct(f1, ref_by_class[cls])) for cls, f1 in per_class_f1
-        )
+        deltas = tuple((cls, _delta_pct(f1, ref_by_class[cls])) for cls, f1 in per_class_f1)
         rows.append(
             ProtocolComparison(
                 protocol=protocol,

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointmatch
 from pointmatch import evaluation, matching, pointfile
 from pointmatch.cli import main
 from pointmatch.pointfile import read_point_file, write_point_file
@@ -19,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, whose stderr is what a user sees:
+    pytest's own capture does not hold back its warnings."""
+    src = os.path.dirname(os.path.dirname(pointmatch.__file__))
+    proc = subprocess.run([sys.executable, "-m", "pointmatch.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _reject_constant(name):
@@ -170,7 +183,7 @@ class TestEvaluate:
         # regression loss's sum of squares stay finite
         code, out, err = check("".join(f"im,1e100,{i},1\n" for i in range(30)),
                                "".join(f"im,-1e100,{i},1,0.9\n" for i in range(30)))
-        assert code == 0, err
+        assert (code, err) == (0, "")
         strict_loads(out)
         # beyond it, distances overflow: a fault of the file, on either side
         message = "line 2: coordinates must be finite and at most 1e+100 in absolute value"
@@ -254,7 +267,47 @@ class TestCompare:
         assert rows["greedy"]["macro_delta_pct"] >= 0.0
 
 
+    @pytest.mark.parametrize("aggregate", ["dataset-counts", "per-image-mean"])
+    def test_no_pair_within_radius_gives_zero_deltas(self, tmp_path, capsys, aggregate):
+        # raw Hungarian pairs class 1 at distance 7, outside the radius: with
+        # a matched F1 of 0 every protocol scores 0, and every delta is 0
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("image_id,x,y,class_id\nim,0,0,1\nim,0,0,2\n")
+        pred.write_text("image_id,x,y,class_id,confidence\nim,7,0,1,0.9\nim,50,50,2,0.9\n")
+        code, out, err = run(capsys, "compare", str(gt), str(pred), "--aggregate", aggregate,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        rows = strict_loads(out)["protocols"]
+        assert [r["macro_f1"] for r in rows] == [r["macro_delta_pct"] for r in rows] == [0.0] * 3
+        assert [(pc["f1"], pc["delta_pct"]) for r in rows for pc in r["per_class"]] == [
+            (0.0, 0.0)
+        ] * 6
+
+
 class TestMatch:
+    def test_each_warning_printed_once(self, figure3_files):
+        # match_hybrid warns in cmd_match and again inside combined_loss
+        gt, pred = figure3_files
+        code, out, err = run_fresh("match", gt, pred, "--beta", "2")
+        assert code == 0
+        strict_loads(out)
+        assert err == ("warning: image figure3: replicated targets (2x2) exceed proposals (2); "
+                       "all proposals will be matched\n")
+
+    def test_refused_run_prints_only_its_error(self, tmp_path, figure3_files):
+        # tau * distance overflows, and numpy warns before the matrix is refused
+        gt, pred = figure3_files
+        assert run_fresh("match", gt, pred, "--tau", "1e308") == (
+            3, "", "error: image figure3: cost matrix entries must be finite\n"
+        )
+        # image a warns, then image b is refused
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("image_id,x,y,class_id\na,0,0,1\nb,0,0,1\nb,5,5,1\n")
+        pred.write_text("image_id,x,y,class_id,confidence\na,1,0,1,0.9\nb,1,0,1,0.9\n")
+        assert run_fresh("match", str(gt), str(pred), "--beta", "2") == (
+            3, "", "error: image b: insufficient proposals: 2 ground truths but only 1 proposals\n"
+        )
+
     def test_beta_controls_one_to_many_pairs(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("image_id,x,y,class_id\nim,10,10,1\n")

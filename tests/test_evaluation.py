@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointmatch import assignment, evaluation
 from _oracle import brute_force_max_matching
@@ -261,7 +263,8 @@ class TestRawHungarianBatches:
     padded distances under every protocol; the counts must be those of
     scoring each cell on its own."""
 
-    # a budget that splits the dataset's 158 small cells into several batches
+    # a budget that splits the dataset's small cells holding a pair (81 of
+    # its 158) into several batches
     BUDGET = 2_000
 
     def _dataset(self):
@@ -296,6 +299,16 @@ class TestRawHungarianBatches:
         monkeypatch.setattr(evaluation, "score_cells", record)
         return batches
 
+    @staticmethod
+    def _paired_cells(gt_by_image, pred_by_image):
+        """The number of (image, class) cells holding a ground truth and a
+        prediction, the only cells that reach ``score_cells``."""
+        return sum(
+            all(any(p.class_id == cls for p in side.get(i, [])) for side in (gt_by_image, pred_by_image))
+            for i in set(gt_by_image) | set(pred_by_image)
+            for cls in (1, 2)
+        )
+
     def _assert_within_budget(self, batches, runs, cells):
         assert all(size <= self.BUDGET for _, size in batches)
         assert sum(n for n, _ in batches) == runs * cells
@@ -314,7 +327,8 @@ class TestRawHungarianBatches:
             EvalConfig(radius=6.0, protocol=Protocol.RAW_HUNGARIAN, class_ids=(1, 2)),
         )
         assert len(images) == 79
-        self._assert_within_budget(batches, 3, 2 * len(images))
+        assert self._paired_cells(gt_by_image, pred_by_image) == 81
+        self._assert_within_budget(batches, 3, 81)
         monkeypatch.undo()
 
         single = {
@@ -389,7 +403,7 @@ class TestRawHungarianBatches:
             for cls in classes
         ]
         assert in_image_order != sorted(in_image_order)
-        assert shapes == sorted(in_image_order) * 8
+        assert shapes == sorted(s for s in in_image_order if s[0] > 0) * 8
 
         single = {
             Protocol.MATCHED: match_thresholded,
@@ -419,8 +433,77 @@ class TestRawHungarianBatches:
         gt_by_image, pred_by_image = self._dataset()
         batches = self._record_batches(monkeypatch)
         evaluate_dataset(gt_by_image, pred_by_image, EvalConfig(radius=6.0, class_ids=(1, 2)))
-        # 79 images x 2 classes
-        self._assert_within_budget(batches, 1, 158)
+        self._assert_within_budget(batches, 1, self._paired_cells(gt_by_image, pred_by_image))
+
+
+def test_sparse_classes_score_only_cells_with_a_pair(monkeypatch):
+    # 300 images with one point a side, classes drawn from 1..300: of the
+    # 90,000 (image, class) cells at most 300 hold a ground truth and a
+    # prediction, and only those may be built and scored
+    rng = random.Random(18)
+    classes = tuple(range(1, 301))
+    gt_by_image, pred_by_image = {}, {}
+    for k in range(300):
+        cls = rng.randint(1, 300)
+        gt_by_image[f"im{k:03d}"] = [pt(1, 1, cls)]
+        pred_cls = cls if k % 3 else rng.randint(1, 300)
+        pred_by_image[f"im{k:03d}"] = [pt(rng.choice((1.5, 9.0)), 1, pred_cls)]
+    received = []
+    scored = evaluation.score_cells
+
+    def record(cells, radius, protocols):
+        received.extend((len(g), len(p)) for g, p in cells)
+        return scored(cells, radius, protocols)
+
+    monkeypatch.setattr(evaluation, "score_cells", record)
+    counts = evaluation._evaluate(gt_by_image, pred_by_image, 6.0, classes, tuple(Protocol))
+    monkeypatch.undo()
+    images = sorted(gt_by_image)
+    paired = sum(gt_by_image[i][0].class_id == pred_by_image[i][0].class_id for i in images)
+    assert 150 < paired < 300
+    assert received == [(1, 1)] * paired
+
+    # scoring a cell without a pair gives what skipping it gives
+    empty = scored([(np.zeros((0, 2)), np.ones((2, 2)))], 6.0, tuple(Protocol))
+    assert all(c.tolist() == [[0, 2, 0]] for c in empty.values())
+    single = {
+        Protocol.MATCHED: match_thresholded,
+        Protocol.RAW_HUNGARIAN: match_raw_hungarian,
+        Protocol.GREEDY: match_greedy,
+    }
+    for protocol, match in single.items():
+        expected = np.zeros((len(images), len(classes), 3), dtype=np.int64)
+        for i, image_id in enumerate(images):
+            (g,), (p,) = gt_by_image[image_id], pred_by_image[image_id]
+            expected[i, p.class_id - 1, 1] += 1
+            expected[i, g.class_id - 1, 2] += 1
+            if g.class_id == p.class_id:
+                alone = match([g], [p], 6.0, (g.class_id,))[g.class_id]
+                expected[i, g.class_id - 1] = (alone.tp, alone.fp, alone.fn)
+        np.testing.assert_array_equal(counts[protocol], expected)
+        assert counts[protocol][..., 0].sum() > 0
+
+
+# most cells have no true positive, as in a sparse multi-class dataset
+_SPARSE_CELL = st.tuples(
+    st.integers(0, 9).flatmap(lambda k: st.integers(1, 10**6) if k == 0 else st.just(0)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_per_image_mean_equals_the_mean_over_every_cell(data):
+    images, classes = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(_SPARSE_CELL, min_size=images * classes, max_size=images * classes))
+    counts = np.array(cells, dtype=np.int64).reshape(images, classes, 3)
+    config = EvalConfig(class_ids=tuple(range(1, classes + 1)), aggregate=Aggregate.PER_IMAGE_MEAN)
+    report = evaluation._report(Protocol.MATCHED, counts, config)
+    for j, (total, f1) in enumerate(report.per_class):
+        f1s = [f1_from_counts(ClassCounts(total.class_id, *c)) for c in counts[:, j].tolist()]
+        expected = sum(f1s) / len(f1s) if f1s else 0.0
+        assert f1.hex() == expected.hex()
 
 
 def test_one_large_cell_does_not_pad_the_small_ones():
