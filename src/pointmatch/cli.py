@@ -248,14 +248,19 @@ def cmd_match(args) -> int:
     )
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
-    classes = np.concatenate([gt_table.cls, pred_table.cls])
     if pred_table.confidences is not None:
-        num_classes = max(pred_table.confidences.shape[1] - 1, int(classes.max(initial=0)))
+        num_classes = pred_table.confidences.shape[1] - 1
+        for side, table in (("ground-truth", gt_table), ("prediction", pred_table)):
+            if (table.cls > num_classes).any():  # a vector's own class is checked on reading
+                i = int(np.argmax(table.cls > num_classes))
+                raise PointFileError(f"image {table.image_id[i]}: {side} class {table.cls[i]} is "
+                                     f"outside the prediction vectors' classes 1..{num_classes}")
     else:
         # no confidence vectors: only the classes that occur need a column,
         # and all foreground weights are equal, so numbering them 1..K
         # changes no cost or loss
-        occurring, cls = np.unique(classes, return_inverse=True)
+        occurring, cls = np.unique(np.concatenate([gt_table.cls, pred_table.cls]),
+                                   return_inverse=True)
         gt_table = replace(gt_table, cls=cls[: len(gt_table)] + 1)
         pred_table = replace(pred_table, cls=cls[len(gt_table) :] + 1)
         num_classes = max(len(occurring), 1)

@@ -11,7 +11,9 @@ variant is an array of objects with the same field names (``confidences``
 holds the vector); ``image_id`` must be a JSON string.
 
 A file is read into one ``PointTable`` of numpy columns, validated as a
-whole; the first faulty line is located only once a check fails.
+whole; the first faulty line is located only once a check fails. A plain
+CSV is split into columns with no object per row, one with quotes, CR or
+over-long lines is read by ``csv.reader``; a NUL is refused on its line.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import json
 import math
 import sys
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -162,14 +166,28 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
 
 
 def _parse_csv(lines: io.TextIOBase) -> PointTable:
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-        rows = list(reader)
-    except StopIteration:
-        raise PointFileError("line 1: missing header") from None
-    except csv.Error as exc:  # e.g. an unclosed quote runs past the field size limit
-        raise PointFileError(f"line {reader.line_num}: {exc}") from None
+    text = lines.read()
+    if "\0" in text:  # Python 3.10's csv refuses a NUL, later versions read it
+        line = len(io.StringIO(text[: text.index("\0") + 1], newline="").readlines())
+        raise PointFileError(f"line {line}: line contains NUL")
+    # without a quote, a CR or a line past the field size limit, csv.reader's
+    # rows are the comma-separated fields of the lines between the \n's
+    # (str.splitlines also breaks at \x0b, \x85 or \u2028, which csv keeps)
+    plain = None if not text or '"' in text or "\r" in text else text.split("\n")
+    del text
+    if plain is not None and max(map(len, plain)) <= csv.field_size_limit():
+        header = plain[0].split(",")
+    else:
+        plain = None
+        lines.seek(0)
+        reader = csv.reader(lines)
+        try:
+            header = next(reader)
+            rows = list(reader)
+        except StopIteration:
+            raise PointFileError("line 1: missing header") from None
+        except csv.Error as exc:  # e.g. an unclosed quote runs past the field size limit
+            raise PointFileError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip() for h in header]
     if header[:4] != _BASE_COLUMNS:
         raise PointFileError("line 1: header must start with image_id,x,y,class_id")
@@ -181,15 +199,12 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
         )
     width = len(header)
 
-    def build(rows) -> PointTable:
-        if set(map(len, rows)) - {width}:
-            short = next(i for i, row in enumerate(rows) if len(row) != width)
-            raise _BadRow(short, f"expected {width} fields, got {len(rows[short])}")
-        columns = list(zip(*rows)) or [()] * width
+    def from_columns(columns) -> PointTable:
         xy = np.stack([_column(columns[1], float), _column(columns[2], float)], axis=1)
         cls = _column(columns[3], np.int64)
+        image_id = tuple(columns[0])
         if not extra:
-            return _table(columns[0], xy, cls)
+            return _table(image_id, xy, cls)
         cells = columns[4:]
         # a row whose extra cells are all empty is a record without a
         # confidence (vector); a row with only some empty fails to parse
@@ -199,8 +214,14 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
             cells = [["0" if e else v for v, e in zip(c, empty)] for c in cells]
         values = np.stack([_column(c, float) for c in cells], axis=1)
         if extra == ["confidence"]:
-            return _table(columns[0], xy, cls, values[:, 0], no_confidence=empty)
-        return _table(columns[0], xy, cls, confidences=values, no_vector=empty)
+            return _table(image_id, xy, cls, values[:, 0], no_confidence=empty)
+        return _table(image_id, xy, cls, confidences=values, no_vector=empty)
+
+    def build(rows) -> PointTable:
+        if set(map(len, rows)) - {width}:
+            short = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise _BadRow(short, f"expected {width} fields, got {len(rows[short])}")
+        return from_columns(list(zip(*rows)) or [()] * width)
 
     def where(i: int) -> str:
         # a quoted field may hold a line break, so the line each row starts
@@ -210,6 +231,15 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
         ends = [reader.line_num for _ in reader]  # the last lines of the header and rows
         return f"line {[end + 1 for end, row in zip(ends, rows) if row][i]}"
 
+    if plain is not None:
+        # one split of the joined records, read as strided columns; a fault
+        # is located on the rows csv.reader would give
+        records = list(filter(None, plain[1:]))
+        if records and not set(map(str.count, records, repeat(","))) - {width - 1}:
+            cells = ",".join(records).split(",")
+            with suppress(_BadRow):
+                return from_columns([cells[j::width] for j in range(width)])
+        rows = [line.split(",") if line else [] for line in plain[1:]]
     return _checked(list(filter(None, rows)), build, where)
 
 
@@ -290,7 +320,7 @@ def read_point_file(path: str) -> PointTable:
         raise PointFileError(
             f"byte offset {exc.start}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8"
         ) from None
-    # the parse decodes the bytes as it reads them: a StringIO of the decoded
+    # csv.reader decodes the bytes as it reads them: a StringIO of the decoded
     # text would copy the file again at 4 bytes a character
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
         table = _parse_json(lines.read()) if path.endswith(".json") else _parse_csv(lines)
@@ -343,10 +373,8 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
 def _image_rows(table: PointTable):
     """(image_id, row indices in file order) per image, in order of first
     appearance, from one stable sort of the image codes."""
-    index: dict[str, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(i, len(index)) for i in table.image_id), dtype=np.intp, count=len(table)
-    )
+    index = {image_id: code for code, image_id in enumerate(dict.fromkeys(table.image_id))}
+    codes = np.fromiter(map(index.__getitem__, table.image_id), dtype=np.intp, count=len(table))
     order = np.argsort(codes, kind="stable")
     return zip(index, np.split(order, np.cumsum(np.bincount(codes))[:-1]))
 

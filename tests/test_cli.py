@@ -464,6 +464,32 @@ class TestMatch:
         assert code == 2
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("gt_rows, pred_rows, message", [
+        # a ground truth of class 2 against one-class vectors
+        ("a,0,0,2\n", "conf_bg,conf_1\na,1,0,1,0.2,0.8\n",
+         "image a: ground-truth class 2 is outside the prediction vectors' classes 1..1"),
+        # a vector-less prediction of class 3 beside two-class vectors
+        ("a,0,0,1\nb,0,0,1\n", "conf_bg,conf_1,conf_2\na,1,0,1,0.2,0.7,0.1\nb,1,0,3,,,\n",
+         "image b: prediction class 3 is outside the prediction vectors' classes 1..2"),
+    ], ids=["ground-truth", "prediction"])
+    def test_class_outside_prediction_vectors_names_its_record(
+            self, tmp_path, capsys, gt_rows, pred_rows, message):
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        gt.write_text("image_id,x,y,class_id\n" + gt_rows)
+        pred.write_text("image_id,x,y,class_id," + pred_rows)
+        assert run(capsys, "match", str(gt), str(pred)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "match"])
+def test_nul_in_csv_exits_2(tmp_path, capsys, command):
+    # Python 3.10's csv refuses a NUL and 3.11's reads it; the tool refuses it on both
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt.write_text("image_id,x,y,class_id\na\0b,0,0,1\n")
+    pred.write_text("image_id,x,y,class_id,confidence\na,1,0,1,0.9\n")
+    assert run(capsys, command, str(gt), str(pred)) == (
+        2, "", "error: line 2: line contains NUL\n"
+    )
+
 
 # Golden outputs: the exact bytes of every report format, with the run's
 # timestamp and temporary directory replaced by placeholders.

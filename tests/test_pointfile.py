@@ -1,5 +1,13 @@
-import pytest
+import csv
+import gc
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointmatch import pointfile
 from pointmatch.pointfile import (
     PointFileError,
     PointRecord,
@@ -111,6 +119,18 @@ class TestParseErrors:
         with pytest.raises(PointFileError, match="field larger than field limit"):
             read_point_file(str(path))
 
+    def test_nul_refused_on_its_physical_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("image_id,x,y,class_id\0\na,1,2,1\n")
+        with pytest.raises(PointFileError) as refused:
+            read_point_file(str(path))
+        assert str(refused.value) == "line 1: line contains NUL"
+        # inside a quoted field that spans lines 2-3, on line 3
+        path.write_text('image_id,x,y,class_id\r\n"a\n\0b",1,2,1\r\n')
+        with pytest.raises(PointFileError) as refused:
+            read_point_file(str(path))
+        assert str(refused.value) == "line 3: line contains NUL"
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -150,3 +170,104 @@ class TestGrouping:
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
         with pytest.raises(PointFileError):
             group_predicted(table(tmp_path, records), num_classes=3)
+
+
+# Lines of CSV text without quotes or CR: every header schema, rows with
+# too few or too many fields, bad numbers, class 0, confidences outside
+# [0, 1], empty confidence cells, blank and whitespace-only lines, and
+# characters that str.splitlines would break at but csv keeps in a field
+HEADERS = st.sampled_from([
+    "image_id,x,y,class_id",
+    "image_id,x,y,class_id,confidence",
+    "image_id,x,y,class_id,conf_bg,conf_1",
+    "image_id,x,y,class_id,conf_bg,conf_1,conf_2",
+] * 3 + [" image_id, x,y,class_id", "image_id,x,y"])
+# valid cells are drawn more often than faulty ones, so that many files parse
+IMAGE_IDS = st.sampled_from(["a", "b", "", " im 1", "a\x0bb", "c\x1cd", "e\x85", "f\u2028g", "\xe9"])
+NUMBERS = st.sampled_from(["0", "1.5", "-3", "1e3", "1_0", " 2", "12.5"] * 6
+                          + ["nan", "inf", "1e400", "oops", ""])
+CLASSES = st.sampled_from(["1", "2", "3", " 1"] * 4 + ["0", "-1", "1.5", ""])
+CONFIDENCES = st.sampled_from(["", "0", "0.25", "1"] * 4 + ["1.5", "-0.1", "nan", "x"])
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(HEADERS)
+    width = header.count(",") + 1
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["blank", "space", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " , "])))
+        else:
+            fields = [draw(IMAGE_IDS), draw(NUMBERS), draw(NUMBERS), draw(CLASSES)]
+            fields += [draw(CONFIDENCES) for _ in range(width - 4)]
+            fields = fields[:width]
+            if kind == "short":
+                fields = fields[: draw(st.integers(1, width - 1))]
+            elif kind == "long":
+                fields.append(draw(NUMBERS))
+            lines.append(",".join(fields))
+    if draw(st.integers(0, 19)) == 0:  # a line past the field size limit
+        lines.insert(draw(st.integers(1, len(lines))), "z" * (csv.field_size_limit() + 1) + ",1,1,1")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(path):
+    """What the reader makes of ``path``: its columns, or its error."""
+    try:
+        t = read_point_file(path)
+    except PointFileError as exc:
+        return str(exc)
+    arrays = [t.xy, t.cls, t.confidence, t.confidences]
+    return t.image_id, [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("texts")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=csv_texts())
+def test_split_columns_equal_csv_reader(text_dir, text):
+    # a CRLF file is always read by csv.reader
+    lf, crlf = text_dir / "lf.csv", text_dir / "crlf.csv"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    with mock.patch.object(pointfile.csv, "reader", wraps=csv.reader) as reader:
+        split = _outcome(str(lf))
+    assert split == _outcome(str(crlf))
+    if not isinstance(split, str) and max(map(len, text.split("\n"))) <= csv.field_size_limit():
+        assert not reader.called
+
+
+def test_parse_and_group_run_few_collections(tmp_path):
+    rng = np.random.default_rng(0)
+    xy = rng.uniform(0, 224, size=(20_000, 2)).tolist()
+    conf = rng.uniform(0, 1, size=20_000).tolist()
+    path = str(tmp_path / "pred.csv")
+    write_point_file(path, [
+        PointRecord(f"img{i // 134:05d}", x, y, 1 + i % 3, confidence=c)
+        for i, ((x, y), c) in enumerate(zip(xy, conf))
+    ])
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    assert gc.isenabled()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        groups = group_predicted(read_point_file(path), num_classes=3)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert sum(map(len, groups.values())) == 20_000
+    assert len(runs) <= 2
