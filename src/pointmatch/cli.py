@@ -12,12 +12,13 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, replace
+from datetime import datetime, timezone
 
 import numpy as np
 
-from . import evaluation, matching, pointfile, synth
+from . import __version__, evaluation, matching, pointfile, synth
 from .evaluation import Aggregate, EvalConfig, Protocol
-from .pointfile import PointFileError, PointRecord, RunManifest
+from .pointfile import PointFileError, PointRecord
 from .types import as_point_set
 
 EXIT_OK = 0
@@ -130,27 +131,27 @@ def _load_eval_inputs(args):
     return aggregate, (gt_table, pred_table), gt_by_image, pred_by_image, class_ids, names
 
 
-def _manifest_lines(manifest: RunManifest) -> list[str]:
-    lines = [f"# tool_version: {manifest.tool_version}"]
-    for k, v in sorted(manifest.config.items()):
-        lines.append(f"# config.{k}: {v}")
-    for path, digest in sorted(manifest.input_digests.items()):
-        lines.append(f"# input: {path} sha256={digest}")
-    lines.append(f"# timestamp: {manifest.timestamp}")
-    return lines
-
-
 def _write_report(args, tables, config: dict, payload: dict, render) -> int:
     """Write the report to ``--output`` or stdout. JSON is ``payload`` plus
     the run manifest, which names the digests of the (gt, pred) ``tables``;
     table and csv are the lines of ``render(fmt)`` followed by the manifest
     as ``#`` lines."""
-    digests = {path: table.digest for path, table in zip((args.gt, args.pred), tables)}
-    manifest = RunManifest(config=config, input_digests=digests)
+    manifest = {
+        "tool_version": __version__,
+        "config": config,
+        "input_digests": {path: t.digest for path, t in zip((args.gt, args.pred), tables)},
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
     if args.fmt == "json":
-        text = json.dumps({**payload, "manifest": asdict(manifest)}, indent=2, sort_keys=True)
+        text = json.dumps({**payload, "manifest": manifest}, indent=2, sort_keys=True)
     else:
-        text = "\n".join(render(args.fmt) + _manifest_lines(manifest))
+        text = "\n".join([
+            *render(args.fmt),
+            f"# tool_version: {manifest['tool_version']}",
+            *(f"# config.{k}: {v}" for k, v in sorted(config.items())),
+            *(f"# input: {p} sha256={d}" for p, d in sorted(manifest["input_digests"].items())),
+            f"# timestamp: {manifest['timestamp']}",
+        ])
     with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
           else contextlib.nullcontext(sys.stdout)) as f:
         f.write(text + "\n")
@@ -248,22 +249,23 @@ def cmd_match(args) -> int:
     )
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
-    if pred_table.confidences is not None:
-        num_classes = pred_table.confidences.shape[1] - 1
+    vectors = pred_table.confidences
+    if vectors is not None:
+        width = vectors.shape[1] - 1
         for side, table in (("ground-truth", gt_table), ("prediction", pred_table)):
-            if (table.cls > num_classes).any():  # a vector's own class is checked on reading
-                i = int(np.argmax(table.cls > num_classes))
+            if (table.cls > width).any():  # a vector's own class is checked on reading
+                i = int(np.argmax(table.cls > width))
                 raise PointFileError(f"image {table.image_id[i]}: {side} class {table.cls[i]} is "
-                                     f"outside the prediction vectors' classes 1..{num_classes}")
-    else:
-        # no confidence vectors: only the classes that occur need a column,
-        # and all foreground weights are equal, so numbering them 1..K
-        # changes no cost or loss
-        occurring, cls = np.unique(np.concatenate([gt_table.cls, pred_table.cls]),
-                                   return_inverse=True)
-        gt_table = replace(gt_table, cls=cls[: len(gt_table)] + 1)
-        pred_table = replace(pred_table, cls=cls[len(gt_table) :] + 1)
-        num_classes = max(len(occurring), 1)
+                                     f"outside the prediction vectors' classes 1..{width}")
+    # only the classes that occur need a column and all foreground weights are
+    # equal, so numbering them 1..K and keeping only their vector columns changes
+    # no cost or loss; return_index takes the stable sort matching already runs
+    occurring, _, cls = np.unique(np.concatenate([gt_table.cls, pred_table.cls]),
+                                  return_index=True, return_inverse=True)
+    gt_table = replace(gt_table, cls=cls[: len(gt_table)] + 1)
+    pred_table = replace(pred_table, cls=cls[len(gt_table) :] + 1,
+                         confidences=None if vectors is None else vectors[:, [0, *occurring]])
+    num_classes = max(len(occurring), 1)
     gt_by_image = pointfile.group_labeled(gt_table)
     pred_by_image = pointfile.group_predicted(pred_table, num_classes)
     config = replace(config, class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)

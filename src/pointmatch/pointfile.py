@@ -1,5 +1,5 @@
 """Point-file I/O: CSV and JSON readers/writers for ground-truth and
-prediction point sets, plus the run manifest attached to every report.
+prediction point sets.
 
 CSV schema (UTF-8, optionally with a byte-order mark, comma-delimited, LF):
     image_id,x,y,class_id
@@ -26,13 +26,11 @@ import math
 import sys
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
-from . import __version__ as TOOL_VERSION
 from .types import _COORD_ERROR, _MAX_COORD, PointSet
 
 _BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
@@ -88,16 +86,6 @@ class PointTable(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass
-class RunManifest:
-    tool_version: str = TOOL_VERSION
-    config: dict = field(default_factory=dict)
-    input_digests: dict = field(default_factory=dict)
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
 
 
 class _BadRow(Exception):
@@ -158,11 +146,13 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
     if bad.any():
         i = int(np.argmax(bad))
         raise _BadRow(i, next(message for mask, message in checks if mask[i]))
-    if no_confidence is not None:
-        confidence[no_confidence] = np.nan
-    if no_vector is not None:
-        confidences[no_vector] = np.nan
-    return PointTable(image_id, xy, cls, confidence, confidences)
+    columns = [confidence, confidences]
+    for i, missing in enumerate((no_confidence, no_vector)):
+        if missing is not None:
+            columns[i][missing] = np.nan
+        if not len(cls) or missing is not None and missing.all():
+            columns[i] = None  # no record fills the column, as in JSON
+    return PointTable(image_id, xy, cls, *columns)
 
 
 def _parse_csv(lines: io.TextIOBase) -> PointTable:
@@ -328,6 +318,11 @@ def read_point_file(path: str) -> PointTable:
 
 
 def write_point_file(path: str, records: list[PointRecord]) -> None:
+    n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
+    for i, r in enumerate(records):
+        if r.confidences is not None and len(r.confidences) != n_conf:
+            raise ValueError(f"record {i} (image {r.image_id}): {len(r.confidences)} "
+                             f"confidences, but the first vector has {n_conf}")
     if path.endswith(".json"):
         payload = []
         for r in records:
@@ -342,11 +337,7 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
             f.write("\n")
         return
 
-    n_conf = 0
     has_single = any(r.confidence is not None for r in records)
-    for r in records:
-        if r.confidences is not None:
-            n_conf = max(n_conf, len(r.confidences))
     header = list(_BASE_COLUMNS)
     if n_conf:
         header += ["conf_bg"] + [f"conf_{t}" for t in range(1, n_conf)]
@@ -409,6 +400,10 @@ def group_predicted(table: PointTable, num_classes: int) -> dict[str, PointSet]:
         conf[vector] = table.confidences[vector]
     single = np.ones(n) if table.confidence is None else table.confidence
     plain = np.flatnonzero(~vector)
+    if (table.cls[plain] > num_classes).any():
+        i = plain[np.argmax(table.cls[plain] > num_classes)]
+        raise PointFileError(f"record for image {table.image_id[i]}: class {table.cls[i]} "
+                             f"is outside classes 1..{num_classes}")
     level = np.where(np.isnan(single[plain]), 1.0, single[plain])
     conf[plain, table.cls[plain]] = level
     conf[plain, 0] = 1.0 - level

@@ -743,3 +743,70 @@ def test_oversized_cell_refused_before_any_distance(tmp_path, capsys, monkeypatc
     assert run(capsys, *argv) == (
         3, "", "error: image b, class 2: 2 x 3 distances exceed the limit of one cell\n"
     )
+
+
+@pytest.mark.parametrize("gt_rows, pred_header, pred_rows", [
+    # a conf_* column that no record fills
+    ("a,0,0,2\n", "conf_bg,conf_1", "a,1,0,1,,\n"),
+    # three-class vectors of which class 2 never occurs, and a vector-less row
+    ("a,0,0,1\na,9,0,3\n", "conf_bg,conf_1,conf_2,conf_3",
+     "a,1,0,1,0.1,0.6,0.2,0.1\na,8,0,3,0.2,0.1,0.3,0.4\na,4,4,3,,,,\n"),
+], ids=["unfilled-column", "unused-class"])
+def test_match_csv_and_json_copy_agree(tmp_path, capsys, gt_rows, pred_header, pred_rows):
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt.write_text("image_id,x,y,class_id\n" + gt_rows)
+    pred.write_text(f"image_id,x,y,class_id,{pred_header}\n{pred_rows}")
+    write_point_file(str(tmp_path / "pred.json"), list(read_point_file(str(pred))))
+    results = []
+    for path in (pred, tmp_path / "pred.json"):
+        code, out, err = run(capsys, "match", str(gt), str(path), "--beta", "2")
+        results.append((code, strict_loads(out)["images"] if code == 0 else err))
+    assert results[0] == results[1] and results[0][0] == 0
+
+
+def test_match_keeps_only_the_vector_columns_of_occurring_classes(tmp_path, capsys, monkeypatch):
+    widths = []
+    group = pointfile.group_predicted
+    monkeypatch.setattr(
+        pointfile, "group_predicted",
+        lambda table, num_classes: widths.append(num_classes) or group(table, num_classes),
+    )
+    gt = tmp_path / "gt.csv"
+    reports = []
+    # the same detections with a column for an unused class 2, and without it
+    for name, header, rows, last in [
+        ("four", "conf_bg,conf_1,conf_2,conf_3", ["0.1,0.6,0.2,0.1", "0.2,0.1,0.3,0.4"], 3),
+        ("three", "conf_bg,conf_1,conf_2", ["0.1,0.6,0.1", "0.2,0.1,0.4"], 2),
+    ]:
+        gt.write_text(f"image_id,x,y,class_id\na,0,0,1\na,9,0,{last}\n")
+        pred = tmp_path / f"{name}.csv"
+        pred.write_text(f"image_id,x,y,class_id,{header}\n"
+                        f"a,1,0,1,{rows[0]}\na,8,0,{last},{rows[1]}\na,4,4,{last}{',' * (last + 1)}\n")
+        code, out, _ = run(capsys, "match", str(gt), str(pred), "--beta", "2")
+        assert code == 0
+        reports.append(strict_loads(out)["images"])
+    assert widths == [2, 2]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("pred.json", "[1]", "record 0: a record must be a JSON object"),
+    ("pred.json", "{}", "JSON point file must be an array of records"),
+    ("pred.csv", "", "line 1: missing header"),
+    ("pred.csv", "\ufeff", "line 1: missing header"),
+], ids=["json-non-object", "json-object", "csv-empty", "csv-bom-only"])
+def test_malformed_file_exits_2_with_its_line(figure3_files, tmp_path, capsys,
+                                              name, content, message):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    assert run(capsys, "evaluate", figure3_files[0], str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("class_ids, message", [
+    ("a", "bad --class-ids: invalid literal for int() with base 10: 'a'"),
+    ("0", "class ids must be >= 1"),
+])
+def test_bad_class_ids_exit_3_with_their_line(figure3_files, capsys, class_ids, message):
+    assert run(capsys, "evaluate", *figure3_files, "--class-ids", class_ids) == (
+        3, "", f"error: {message}\n"
+    )

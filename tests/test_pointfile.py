@@ -271,3 +271,55 @@ def test_parse_and_group_run_few_collections(tmp_path):
         gc.set_threshold(*threshold)
     assert sum(map(len, groups.values())) == 20_000
     assert len(runs) <= 2
+
+
+def _columns(t):
+    return (list(t.image_id), t.xy.tolist(), t.cls.tolist(),
+            *(None if c is None else c.tolist() for c in (t.confidence, t.confidences)))
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("conf_bg,conf_1", "a,1,0,1,,\nb,2,0,3,,\n"),
+    ("confidence", "a,1,0,1,\nb,2,0,3,\n"),
+    ("conf_bg,conf_1", ""),
+], ids=["vector", "confidence", "header-only"])
+def test_unfilled_column_reads_as_its_json_copy(tmp_path, header, rows):
+    # a column that no record fills is None in both formats
+    path = tmp_path / "pred.csv"
+    path.write_text(f"image_id,x,y,class_id,{header}\n{rows}")
+    from_csv = read_point_file(str(path))
+    write_point_file(str(tmp_path / "pred.json"), list(from_csv))
+    from_json = read_point_file(str(tmp_path / "pred.json"))
+    assert from_csv.confidence is None and from_csv.confidences is None
+    assert _columns(from_csv) == _columns(from_json)
+
+
+def test_json_vectors_roundtrip_and_refuse_uneven_lengths(tmp_path):
+    records = [PointRecord("a", 1.0, 2.0, 2, confidences=(0.1, 0.2, 0.7)),
+               PointRecord("b", 0.0, 0.0, 3)]
+    _, back = roundtrip(tmp_path, records, "vectors.json")
+    assert back == records and back.confidences.shape == (2, 3)
+    path = tmp_path / "uneven.json"
+    path.write_text('[{"image_id": "a", "x": 0, "y": 0, "class_id": 1, "confidences": [0.1, 0.9]},'
+                    ' {"image_id": "a", "x": 1, "y": 0, "class_id": 1, "confidences": [0, 1, 0]}]')
+    with pytest.raises(PointFileError) as refused:
+        read_point_file(str(path))
+    assert str(refused.value) == "record 1: confidences must all have the same length"
+
+
+@pytest.mark.parametrize("name", ["uneven.csv", "uneven.json"])
+def test_writer_refuses_vectors_of_different_lengths(tmp_path, name):
+    records = [PointRecord("a", 0.0, 0.0, 1), PointRecord("a", 1.0, 0.0, 1, confidences=(0.1, 0.9)),
+               PointRecord("b", 0.0, 0.0, 1, confidences=(0.1, 0.2, 0.7))]
+    with pytest.raises(ValueError) as refused:
+        write_point_file(str(tmp_path / name), records)
+    assert str(refused.value) == "record 2 (image b): 3 confidences, but the first vector has 2"
+    assert not (tmp_path / name).exists()
+
+
+def test_group_predicted_refuses_class_without_column(tmp_path):
+    records = [PointRecord("a", 0.0, 0.0, 1, confidence=0.5),
+               PointRecord("b", 0.0, 0.0, 3, confidence=0.8)]
+    with pytest.raises(PointFileError) as refused:
+        group_predicted(table(tmp_path, records), num_classes=2)
+    assert str(refused.value) == "record for image b: class 3 is outside classes 1..2"

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch.types import distance_matrix
+from pointmatch.types import LabeledPoint, PredictedPoint, distance_matrix
 
 
 def _points(n, exponent, seed):
@@ -69,3 +70,10 @@ def test_rows_chunked_across_problems():
         assert _same_bits(block[k].copy(), _norm(a[k], b[k]))
     wide = rng.uniform(-1e3, 1e3, (40_000, 2))
     assert _same_bits(distance_matrix(a[0], wide), _norm(a[0], wide))
+
+
+def test_point_constructors_refuse_background_class_and_short_vector():
+    with pytest.raises(ValueError, match=r"class_id must be >= 1 \(0 is reserved for background\)"):
+        LabeledPoint(0.0, 0.0, 0)
+    with pytest.raises(ValueError, match="confidences needs background plus at least one class"):
+        PredictedPoint(0.0, 0.0, (1.0,))
