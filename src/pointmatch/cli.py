@@ -16,10 +16,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, evaluation, matching, pointfile, synth
-from .evaluation import Aggregate, EvalConfig, Protocol
+# evaluation and synth are imported by the commands that run them, so a
+# process loads only the modules its command needs
+from . import __version__, matching, pointfile
 from .pointfile import PointFileError, PointRecord
-from .types import as_point_set
+from .types import Aggregate, Protocol, as_point_set
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -111,8 +112,10 @@ def _load_eval_inputs(args):
     """The ``--aggregate`` and the checked ``--radius`` of ``evaluate`` and
     ``compare``, then their inputs: the two tables, points by image, class
     ids and names."""
+    from . import evaluation
+
     aggregate = Aggregate(args.aggregate.replace("-", "_"))
-    EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
+    evaluation.EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
     gt_table = pointfile.read_point_file(args.gt)
     pred_table = pointfile.read_point_file(args.pred)
     gt_by_image = pointfile.group_labeled(gt_table)
@@ -159,9 +162,11 @@ def _write_report(args, tables, config: dict, payload: dict, render) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     protocol = Protocol(args.protocol.replace("-", "_"))
     aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
-    config = EvalConfig(
+    config = evaluation.EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
     report = evaluation.evaluate_dataset(gt_by_image, pred_by_image, config)
@@ -199,6 +204,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import evaluation
+
     aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
     rows = evaluation.compare_protocols(
         gt_by_image, pred_by_image, args.radius, class_ids, aggregate
@@ -335,6 +342,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     if args.fixture is not None:
         image_id = "figure3"
         gts, preds = synth.figure3_fixture()

@@ -22,7 +22,6 @@ memory stays O(N * M) per cell.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,18 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
-from .types import _COORD_ERROR, _MAX_COORD, CELL_DISTANCES, Points, as_point_set, distance_matrix
-
-
-class Protocol(str, enum.Enum):
-    MATCHED = "matched"
-    RAW_HUNGARIAN = "raw_hungarian"
-    GREEDY = "greedy"
-
-
-class Aggregate(str, enum.Enum):
-    DATASET_COUNTS = "dataset_counts"
-    PER_IMAGE_MEAN = "per_image_mean"
+from .types import (_COORD_ERROR, _MAX_COORD, CELL_DISTANCES, Aggregate, Points, Protocol,
+                    as_point_set, distance_matrix)
 
 
 @dataclass(frozen=True)

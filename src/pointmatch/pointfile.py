@@ -323,6 +323,9 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
         if r.confidences is not None and len(r.confidences) != n_conf:
             raise ValueError(f"record {i} (image {r.image_id}): {len(r.confidences)} "
                              f"confidences, but the first vector has {n_conf}")
+        if r.confidences is not None and (n_conf < 2 or r.class_id >= n_conf):
+            raise ValueError(f"record {i} (image {r.image_id}): {n_conf} confidences, but "
+                             f"a vector needs bg, 1..T with T >= {max(r.class_id, 1)}")
     if path.endswith(".json"):
         payload = []
         for r in records:

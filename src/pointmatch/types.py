@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -15,6 +16,19 @@ _COORD_ERROR = f"coordinates must be finite and at most {_MAX_COORD:g} in absolu
 # entries of one dense matrix, 2 GiB of float64: evaluation refuses a larger
 # cell, and training a larger replicated cost matrix, before allocating it
 CELL_DISTANCES = 1 << 28
+
+
+# the evaluation protocols and aggregations; defined here, beside the other
+# value types, so the CLI can list them without importing evaluation
+class Protocol(str, enum.Enum):
+    MATCHED = "matched"
+    RAW_HUNGARIAN = "raw_hungarian"
+    GREEDY = "greedy"
+
+
+class Aggregate(str, enum.Enum):
+    DATASET_COUNTS = "dataset_counts"
+    PER_IMAGE_MEAN = "per_image_mean"
 
 
 def _check_coords(x: float, y: float) -> None:

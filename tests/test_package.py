@@ -1,0 +1,92 @@
+"""The package's lazy exports, and the modules each CLI command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import pointmatch
+from pointmatch import evaluation, types
+
+SRC = os.path.dirname(os.path.dirname(pointmatch.__file__))
+
+# runs the CLI as ``python -m pointmatch.cli`` does, then prints the
+# pointmatch modules the process loaded
+LOADED = """
+import json, runpy, sys
+sys.argv = ["pointmatch", *sys.argv[1:]]
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("pointmatch.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import pointmatch
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "pointmatch")))
+"""
+
+CORE = ["pointmatch", "pointmatch.assignment", "pointmatch.matching", "pointmatch.pointfile",
+        "pointmatch.types"]
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture
+def tiny_files(tmp_path):
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt.write_text("image_id,x,y,class_id\na,0,0,1\n")
+    pred.write_text("image_id,x,y,class_id,confidence\na,1,0,1,0.9\na,9,9,1,0.2\n")
+    return str(gt), str(pred), str(tmp_path / "report")
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("match", CORE),
+    ("evaluate", sorted([*CORE, "pointmatch.evaluation"])),
+    ("compare", sorted([*CORE, "pointmatch.evaluation"])),
+])
+def test_each_command_loads_only_its_modules(tiny_files, command, expected):
+    gt, pred, out = tiny_files
+    assert loaded_modules(command, gt, pred, "--output", out) == expected
+    assert os.path.getsize(out) > 0
+
+
+def test_synth_loads_no_evaluation(tmp_path):
+    loaded = loaded_modules("synth", "--fixture", "figure3", "--gt-out", str(tmp_path / "g.csv"),
+                            "--pred-out", str(tmp_path / "p.csv"))
+    assert loaded == sorted([*CORE, "pointmatch.synth"])
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_modules() == ["pointmatch"]
+
+
+def test_every_export_is_its_home_module_attribute():
+    for name in pointmatch.__all__:
+        home = importlib.import_module(f"pointmatch.{pointmatch._EXPORTS[name]}")
+        assert getattr(pointmatch, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from pointmatch import *", namespace)
+    assert set(pointmatch.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(pointmatch, name) for name in pointmatch.__all__)
+
+
+def test_enums_are_one_object_wherever_imported():
+    assert pointmatch.Protocol is evaluation.Protocol is types.Protocol
+    assert pointmatch.Aggregate is evaluation.Aggregate is types.Aggregate
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="solve_min_cost_batch"):
+        pointmatch.solve_min_cost_batch  # noqa: B018
+    assert not hasattr(pointmatch, "solve_min_cost_batch")

@@ -317,6 +317,22 @@ def test_writer_refuses_vectors_of_different_lengths(tmp_path, name):
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize("class_id, vector, message", [
+    (1, (0.5,), "1 confidences, but a vector needs bg, 1..T with T >= 1"),
+    (1, (), "0 confidences, but a vector needs bg, 1..T with T >= 1"),
+    (2, (0.4, 0.6), "2 confidences, but a vector needs bg, 1..T with T >= 2"),
+], ids=["one-entry", "empty", "class-beyond-vector"])
+def test_writer_refuses_vectors_its_reader_refuses(tmp_path, ext, class_id, vector, message):
+    records = [PointRecord("a", 0.0, 0.0, 1), PointRecord("b", 1.0, 0.0, class_id,
+                                                          confidences=vector)]
+    path = tmp_path / f"short.{ext}"
+    with pytest.raises(ValueError) as refused:
+        write_point_file(str(path), records)
+    assert str(refused.value) == f"record 1 (image b): {message}"
+    assert not path.exists()
+
+
 def test_group_predicted_refuses_class_without_column(tmp_path):
     records = [PointRecord("a", 0.0, 0.0, 1, confidence=0.5),
                PointRecord("b", 0.0, 0.0, 3, confidence=0.8)]
