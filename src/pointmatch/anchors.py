@@ -4,25 +4,23 @@ thresholding into a final prediction set."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .types import LabeledPoint, PredictedPoint
+from .types import LabeledPoint, PredictedPoint, _Frozen
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Geometry of the anchor grid: a feature map of ``feature_height`` x
     ``feature_width`` cells of ``stride`` pixels each, with a
     ``per_cell = (k_rows, k_cols)`` sub-grid of anchors per cell."""
 
-    feature_height: int
-    feature_width: int
-    stride: float
-    per_cell: tuple[int, int] = (2, 2)
+    __slots__ = ("feature_height", "feature_width", "stride", "per_cell")
 
-    def __post_init__(self):
+    def __init__(self, feature_height: int, feature_width: int, stride: float,
+                 per_cell: tuple[int, int] = (2, 2)):
+        self._set(feature_height, feature_width, stride, per_cell)
         if self.feature_height < 1 or self.feature_width < 1:
             raise ValueError("feature map dimensions must be >= 1")
         if not 0 < self.stride < math.inf:
@@ -35,8 +33,7 @@ class GridSpec:
         return self.feature_height * self.feature_width * self.per_cell[0] * self.per_cell[1]
 
 
-@dataclass(frozen=True)
-class AnchorSet:
+class AnchorSet(NamedTuple):
     positions: tuple[tuple[float, float], ...]
     spec: GridSpec
 

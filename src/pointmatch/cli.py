@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -269,13 +268,14 @@ def cmd_match(args) -> int:
     # no cost or loss; return_index takes the stable sort matching already runs
     occurring, _, cls = np.unique(np.concatenate([gt_table.cls, pred_table.cls]),
                                   return_index=True, return_inverse=True)
-    gt_table = replace(gt_table, cls=cls[: len(gt_table)] + 1)
-    pred_table = replace(pred_table, cls=cls[len(gt_table) :] + 1,
-                         confidences=None if vectors is None else vectors[:, [0, *occurring]])
+    gt_table = gt_table._replace(cls=cls[: len(gt_table)] + 1)
+    pred_table = pred_table._replace(
+        cls=cls[len(gt_table) :] + 1,
+        confidences=None if vectors is None else vectors[:, [0, *occurring]])
     num_classes = max(len(occurring), 1)
     gt_by_image = pointfile.group_labeled(gt_table)
     pred_by_image = pointfile.group_predicted(pred_table, num_classes)
-    config = replace(config, class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
+    config = config._replace(class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
 
     images, notes = [], []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
@@ -308,7 +308,7 @@ def cmd_match(args) -> int:
             "image_id": image_id,
             "one_to_one": dump(one2one),
             "one_to_many": dump(one2many),
-            "losses": asdict(losses),
+            "losses": losses._asdict(),
         })
 
     def render(fmt):

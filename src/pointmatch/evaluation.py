@@ -24,39 +24,36 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
 from .types import (_COORD_ERROR, _MAX_COORD, CELL_DISTANCES, Aggregate, Points, Protocol,
-                    as_point_set, distance_matrix)
+                    _Frozen, as_point_set, distance_matrix)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    radius: float = 6.0
-    protocol: Protocol = Protocol.MATCHED
-    class_ids: tuple[int, ...] = (1,)
-    aggregate: Aggregate = Aggregate.DATASET_COUNTS
+class EvalConfig(_Frozen):
+    __slots__ = ("radius", "protocol", "class_ids", "aggregate")
 
-    def __post_init__(self):
+    def __init__(self, radius: float = 6.0, protocol: Protocol = Protocol.MATCHED,
+                 class_ids: tuple[int, ...] = (1,),
+                 aggregate: Aggregate = Aggregate.DATASET_COUNTS):
+        self._set(radius, protocol, class_ids, aggregate)
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
         if not self.class_ids or len(set(self.class_ids)) != len(self.class_ids):
             raise ValueError("class_ids must be non-empty and unique")
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(NamedTuple):
     class_id: int
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_class: tuple[tuple[ClassCounts, float], ...]
     macro_f1: float
     protocol: Protocol
@@ -248,8 +245,7 @@ def evaluate_dataset(
     return _report(config.protocol, counts[config.protocol], config)
 
 
-@dataclass(frozen=True)
-class ProtocolComparison:
+class ProtocolComparison(NamedTuple):
     protocol: Protocol
     per_class_f1: tuple[tuple[int, float], ...]
     macro_f1: float

@@ -8,12 +8,13 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import CELL_DISTANCES, CostMatrix, Points, PointSet, as_point_set, distance_matrix
+from .types import (CELL_DISTANCES, CostMatrix, Points, PointSet, _Frozen, as_point_set,
+                    distance_matrix)
 
 LOG_CLAMP = 1e-12
 
@@ -31,17 +32,16 @@ def default_class_weights(num_classes: int) -> tuple[float, ...]:
     return (DEFAULT_BG_WEIGHT,) + (DEFAULT_FG_WEIGHT,) * num_classes
 
 
-@dataclass(frozen=True)
-class MatchConfig:
+class MatchConfig(_Frozen):
     """Hyperparameters for training-time matching and losses."""
 
-    tau: float = DEFAULT_TAU
-    beta: int = 1
-    class_weights: tuple[float, ...] = field(default_factory=lambda: default_class_weights(1))
-    reg_weight: float = DEFAULT_REG_WEIGHT
-    one2many_weight: float = DEFAULT_ONE2MANY_WEIGHT
+    __slots__ = ("tau", "beta", "class_weights", "reg_weight", "one2many_weight")
 
-    def __post_init__(self):
+    def __init__(self, tau: float = DEFAULT_TAU, beta: int = 1,
+                 class_weights: tuple[float, ...] = default_class_weights(1),
+                 reg_weight: float = DEFAULT_REG_WEIGHT,
+                 one2many_weight: float = DEFAULT_ONE2MANY_WEIGHT):
+        self._set(tau, beta, class_weights, reg_weight, one2many_weight)
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
         try:
@@ -56,8 +56,7 @@ class MatchConfig:
             raise ValueError("loss weights must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(NamedTuple):
     """Matched (gt-index, proposal-index) pairs plus the leftover proposals
     treated as background."""
 
@@ -65,8 +64,7 @@ class MatchOutcome:
     negatives: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     cls_1v1: float
     reg_1v1: float
     cls_1vN: float
@@ -232,7 +230,7 @@ def combined_loss(
         reg_1vN=reg_1vn,
         combined=combined,
     )
-    for name, value in vars(losses).items():
+    for name, value in losses._asdict().items():
         if not math.isfinite(value):  # no report could hold it as a number
             raise ValueError(f"the {name} loss is {value}, not finite")
     return losses

@@ -26,12 +26,12 @@ import math
 import sys
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .types import _COORD_ERROR, _MAX_COORD, PointSet
+from .types import _COORD_ERROR, _MAX_COORD, PointSet, _Frozen
 
 _BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
 
@@ -40,8 +40,7 @@ class PointFileError(Exception):
     """Malformed input file; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     image_id: str
     x: float
     y: float
@@ -50,8 +49,7 @@ class PointRecord:
     confidences: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PointTable(Sequence):
+class PointTable(_Frozen, Sequence):
     """The records of one point file as numpy columns, in file order.
 
     ``confidence`` (n,) is NaN where a record has no confidence, and the
@@ -62,12 +60,12 @@ class PointTable(Sequence):
     from.
     """
 
-    image_id: Sequence[str]
-    xy: np.ndarray
-    cls: np.ndarray
-    confidence: np.ndarray | None = None
-    confidences: np.ndarray | None = None
-    digest: str | None = None
+    __slots__ = ("image_id", "xy", "cls", "confidence", "confidences", "digest")
+
+    def __init__(self, image_id: Sequence[str], xy: np.ndarray, cls: np.ndarray,
+                 confidence: np.ndarray | None = None, confidences: np.ndarray | None = None,
+                 digest: str | None = None):
+        self._set(image_id, xy, cls, confidence, confidences, digest)
 
     def __len__(self) -> int:
         return len(self.cls)
@@ -222,14 +220,19 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
         return f"line {[end + 1 for end, row in zip(ends, rows) if row][i]}"
 
     if plain is not None:
-        # one split of the joined records, read as strided columns; a fault
-        # is located on the rows csv.reader would give
+        # one split of the joined records, read as strided columns, with the lines
+        # freed first; a fault is located on the rows csv.reader would give
         records = list(filter(None, plain[1:]))
+        del plain
         if records and not set(map(str.count, records, repeat(","))) - {width - 1}:
-            cells = ",".join(records).split(",")
+            joined = ",".join(records)
+            del records
+            cells = joined.split(",")
+            del joined
             with suppress(_BadRow):
                 return from_columns([cells[j::width] for j in range(width)])
-        rows = [line.split(",") if line else [] for line in plain[1:]]
+        lines.seek(0)
+        rows = [line.split(",") if line else [] for line in lines.read().split("\n")[1:]]
     return _checked(list(filter(None, rows)), build, where)
 
 
@@ -314,7 +317,7 @@ def read_point_file(path: str) -> PointTable:
     # text would copy the file again at 4 bytes a character
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
         table = _parse_json(lines.read()) if path.endswith(".json") else _parse_csv(lines)
-    return replace(table, digest=hashlib.sha256(data).hexdigest())
+    return table._replace(digest=hashlib.sha256(data).hexdigest())
 
 
 def write_point_file(path: str, records: list[PointRecord]) -> None:
@@ -326,6 +329,17 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
         if r.confidences is not None and (n_conf < 2 or r.class_id >= n_conf):
             raise ValueError(f"record {i} (image {r.image_id}): {n_conf} confidences, but "
                              f"a vector needs bg, 1..T with T >= {max(r.class_id, 1)}")
+    # the reader's checks of the columns, so that no file it refuses is written
+    vectors = [(0.0,) * n_conf if r.confidences is None else r.confidences for r in records]
+    try:
+        _table(None, np.array([(r.x, r.y) for r in records], dtype=float).reshape(-1, 2),
+               np.array([r.class_id for r in records], dtype=np.int64),
+               np.array([r.confidence or 0.0 for r in records], dtype=float),
+               np.array(vectors, dtype=float) if n_conf else None,
+               no_vector=np.array([r.confidences is None for r in records]) if n_conf else None)
+    except _BadRow as bad:
+        i = bad.index
+        raise ValueError(f"record {i} (image {records[i].image_id}): {bad}") from None
     if path.endswith(".json"):
         payload = []
         for r in records:

@@ -9,11 +9,10 @@ independent of call order between purposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .types import _MAX_COORD, LabeledPoint
+from .types import _MAX_COORD, LabeledPoint, _Frozen
 
 _PURPOSE_TAGS = {
     "ground_truth": 0x67726F75,
@@ -34,23 +33,22 @@ def _rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class PerturbationModel:
+class PerturbationModel(_Frozen):
     """Noise model turning a ground-truth point set into plausible
     predictions: positional jitter, drops, class confusion and spurious
     detections. ``confusion=None`` keeps every class, as the identity
     matrix would, without building it."""
 
-    seed: int = 0
-    jitter_sigma: float = 0.0
-    drop_rate: float = 0.0
-    spurious_rate: float = 0.0
-    confusion: tuple[tuple[float, ...], ...] | None = None
-    extent: tuple[float, float] = (224.0, 224.0)
-    density: float = 30.0
-    class_ids: tuple[int, ...] = (1,)
+    __slots__ = ("seed", "jitter_sigma", "drop_rate", "spurious_rate", "confusion", "extent",
+                 "density", "class_ids")
 
-    def __post_init__(self):
+    def __init__(self, seed: int = 0, jitter_sigma: float = 0.0, drop_rate: float = 0.0,
+                 spurious_rate: float = 0.0,
+                 confusion: tuple[tuple[float, ...], ...] | None = None,
+                 extent: tuple[float, float] = (224.0, 224.0), density: float = 30.0,
+                 class_ids: tuple[int, ...] = (1,)):
+        self._set(seed, jitter_sigma, drop_rate, spurious_rate, confusion, extent, density,
+                  class_ids)
         # the seed is one 64-bit word of the Philox key
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be in [0, 2**64) (--seed)")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,33 +35,67 @@ def _check_coords(x: float, y: float) -> None:
         raise ValueError(_COORD_ERROR)
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
+class _Frozen:
+    """Base of the value types that check their fields or are not tuples.
+    A subclass names its fields in ``__slots__``; its ``__init__`` sets them
+    once with ``_set``, then checks them. As on a frozen dataclass, fields
+    cannot be reassigned, and equality, hash and repr read them in order;
+    ``_asdict`` and ``_replace`` work as on a NamedTuple, but check."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __reduce__(self):  # copy and pickle build through __init__, which checks
+        return type(self), tuple(self._asdict().values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class LabeledPoint(_Frozen):
     """A 2D point with a foreground class label (class ids start at 1)."""
 
-    x: float
-    y: float
-    class_id: int
+    __slots__ = ("x", "y", "class_id")
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, class_id: int):
+        self._set(x, y, class_id)
         if self.class_id < 1:
             raise ValueError("class_id must be >= 1 (0 is reserved for background)")
         _check_coords(self.x, self.y)
 
 
-@dataclass(frozen=True)
-class PredictedPoint:
+class PredictedPoint(_Frozen):
     """A 2D point with per-class confidences.
 
     ``confidences[0]`` is the background confidence, ``confidences[t]`` the
     confidence for foreground class ``t``.
     """
 
-    x: float
-    y: float
-    confidences: tuple[float, ...]
+    __slots__ = ("x", "y", "confidences")
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, confidences: tuple[float, ...]):
+        self._set(x, y, confidences)
         if len(self.confidences) < 2:
             raise ValueError("confidences needs background plus at least one class")
         if not all(0.0 <= c <= 1.0 for c in self.confidences):
@@ -74,8 +107,7 @@ class PredictedPoint:
         return len(self.confidences) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
+class PointSet(_Frozen):
     """The points of one image as columns: coordinates ``xy`` (n, 2) and
     class ids ``cls`` (n,), in file order. Training proposals also carry
     their (bg, 1..T) confidence matrix ``conf`` (n, T+1).
@@ -83,12 +115,15 @@ class PointSet:
     Whoever builds one has validated it: ``pointfile`` checks whole files
     at load, and ``LabeledPoint`` and ``PredictedPoint`` check each point
     they are built from. Evaluation refuses a coordinate that is not within
-    ``_MAX_COORD`` (NaN included) with their message.
+    ``_MAX_COORD`` (NaN included) with their message. Two PointSets are
+    equal only if they are one object.
     """
 
-    xy: np.ndarray
-    cls: np.ndarray
-    conf: np.ndarray | None = None
+    __slots__ = ("xy", "cls", "conf")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, xy: np.ndarray, cls: np.ndarray, conf: np.ndarray | None = None):
+        self._set(xy, cls, conf)
 
     def __len__(self) -> int:
         return len(self.cls)
@@ -192,8 +227,7 @@ class BoolMatrix:
         return f"BoolMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Frozen):
     """A one-to-one pairing between row and column index sets.
 
     ``pairs`` is sorted by row index; each row and column appears at most
@@ -201,11 +235,11 @@ class Assignment:
     ``len(pairs) + len(unmatched_rows) == rows`` (and likewise for columns).
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_rows: tuple[int, ...] = field(default=())
-    unmatched_cols: tuple[int, ...] = field(default=())
+    __slots__ = ("pairs", "unmatched_rows", "unmatched_cols")
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...], unmatched_rows: tuple[int, ...] = (),
+                 unmatched_cols: tuple[int, ...] = ()):
+        self._set(pairs, unmatched_rows, unmatched_cols)
         rows = [r for r, _ in self.pairs]
         cols = [c for _, c in self.pairs]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):

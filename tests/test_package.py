@@ -1,8 +1,10 @@
 """The package's lazy exports, and the modules each CLI command loads."""
 
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -28,12 +30,26 @@ else:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "pointmatch")))
 """
 
+# runs the CLI as LOADED does, after numpy, then prints the modules that
+# importing and running pointmatch added to those numpy loaded
+LOADED_AFTER_NUMPY = """
+import json, runpy, sys
+import numpy
+before = set(sys.modules)
+sys.argv = ["pointmatch", *sys.argv[1:]]
+try:
+    runpy.run_module("pointmatch.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
 CORE = ["pointmatch", "pointmatch.assignment", "pointmatch.matching", "pointmatch.pointfile",
         "pointmatch.types"]
 
 
-def loaded_modules(*argv):
-    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True,
+def loaded_modules(*argv, script=LOADED):
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -62,6 +78,27 @@ def test_synth_loads_no_evaluation(tmp_path):
     loaded = loaded_modules("synth", "--fixture", "figure3", "--gt-out", str(tmp_path / "g.csv"),
                             "--pred-out", str(tmp_path / "p.csv"))
     assert loaded == sorted([*CORE, "pointmatch.synth"])
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate", "compare", "synth"])
+def test_no_command_loads_dataclasses(tiny_files, tmp_path, command):
+    gt, pred, out = tiny_files
+    argv = ([command, gt, pred, "--output", out] if command != "synth" else
+            [command, "--gt-out", str(tmp_path / "g.csv"), "--pred-out", str(tmp_path / "p.csv")])
+    loaded = loaded_modules(*argv, script=LOADED_AFTER_NUMPY)
+    assert "pointmatch.types" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(pathlib.Path(SRC).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), \
+                f"{path.name}:{node.lineno} imports dataclasses"
 
 
 def test_bare_import_loads_no_submodule():

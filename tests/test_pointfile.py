@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pointmatch import pointfile
 from pointmatch.pointfile import (
+    _COORD_ERROR,
     PointFileError,
     PointRecord,
     group_labeled,
@@ -331,6 +333,38 @@ def test_writer_refuses_vectors_its_reader_refuses(tmp_path, ext, class_id, vect
         write_point_file(str(path), records)
     assert str(refused.value) == f"record 1 (image b): {message}"
     assert not path.exists()
+
+
+# one record of each kind the reader refuses, and the reader's message for it
+REFUSED_RECORDS = {
+    "class-below-1": (PointRecord("b", 1.0, 0.0, 0), "class_id must be >= 1"),
+    "nan-coordinate": (PointRecord("b", float("nan"), 0.0, 1), _COORD_ERROR),
+    "coordinate-beyond-bound": (PointRecord("b", 1.0, -2e100, 1), _COORD_ERROR),
+    "confidence-above-1": (PointRecord("b", 1.0, 0.0, 1, confidence=1.5),
+                           "confidence must be in [0, 1]"),
+    "confidence-nan": (PointRecord("b", 1.0, 0.0, 1, confidence=float("nan")),
+                       "confidence must be in [0, 1]"),
+    "vector-entry-below-0": (PointRecord("b", 1.0, 0.0, 1, confidences=(-0.25, 1.0)),
+                             "confidences must be in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize("kind", REFUSED_RECORDS)
+def test_writer_refuses_records_its_reader_refuses(tmp_path, ext, kind):
+    record, message = REFUSED_RECORDS[kind]
+    path = tmp_path / f"refused.{ext}"
+    with pytest.raises(ValueError) as refused:
+        write_point_file(str(path), [PointRecord("a", 0.0, 0.0, 1), record])
+    assert str(refused.value) == f"record 1 (image b): {message}"
+    assert not path.exists()
+    # the reader gives the same message for the record written by hand
+    by_hand = tmp_path / "by_hand.json"
+    obj = {k: v for k, v in record._asdict().items() if v is not None}
+    by_hand.write_text(json.dumps([obj]))
+    with pytest.raises(PointFileError) as read:
+        read_point_file(str(by_hand))
+    assert str(read.value) == f"record 0: {message}"
 
 
 def test_group_predicted_refuses_class_without_column(tmp_path):
