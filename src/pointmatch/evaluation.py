@@ -4,20 +4,20 @@ greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
 match a ground truth of the same class. Images are ``PointSet`` columns and
-evaluation is a stream of (image, class) cells. A size pass refuses a
-dataset with a cell of more than ``CELL_DISTANCES`` distances. A cell of n
-ground truths and m predictions without a pair (n * m = 0) counts TP 0,
-FP m, FN n and is neither built nor scored. The others go, in ascending
-order of their sorted sides, to ``block_batches``, which cuts them into
-batches of at most ``BLOCK_ELEMENTS`` padded distances (a cell over that
-budget is a batch of its own), and each batch's counts are written in
-place. ``score_cells`` builds a batch's distances once, as one padded
-(B, N, M) block with each cell's smaller side as rows, and scores it under
-every protocol requested, all three under ``compare_protocols``: one
-min-cost solve of the block for raw Hungarian, and one maximum matching
-over its entries within the radius for the matched protocol, whose edges
-greedy reads too. Every protocol reads a cell's dense N x M distances, so
-memory stays O(N * M) per cell.
+evaluation is a stream of the (image, class) cells that hold a point. A
+size pass refuses a dataset with a cell of more than ``CELL_DISTANCES``
+distances. A cell of n ground truths and m predictions without a pair
+(n * m = 0) counts TP 0, FP m, FN n and is neither built nor scored. The
+others go, in ascending order of their sorted sides, to ``block_batches``,
+which cuts them into batches of at most ``BLOCK_ELEMENTS`` padded distances
+(a cell over that budget is a batch of its own), and each batch's counts
+are written in place. ``score_cells`` builds a batch's distances once, as
+one padded (B, N, M) block with each cell's smaller side as rows, and
+scores it under every protocol requested, all three under
+``compare_protocols``: one min-cost solve of the block for raw Hungarian,
+and one maximum matching over its entries within the radius for the
+matched protocol, whose edges greedy reads too. Every protocol reads a
+cell's dense N x M distances, so memory stays O(N * M) per cell.
 """
 
 from __future__ import annotations
@@ -118,48 +118,48 @@ def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Pro
     return {p: np.stack([tp[p], m - tp[p], fn.get(p, n - tp[p])], axis=1) for p in protocols}
 
 
-def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols) -> dict[Protocol, np.ndarray]:
-    """TP, FP and FN per protocol as an (images, classes, 3) array, images
-    being the union of image ids in sorted order. A cell without a pair
-    counts (0, m, n) and is not scored; the others go to ``block_batches`` in
-    ascending order of their sorted sides (a stable sort), so a batch holds
-    cells of similar shape and pads few distances."""
+def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols):
+    """The number of images, the sorted keys (image * classes + class index,
+    images in sorted order) of the cells holding a point, and each protocol's
+    (cells, 3) TP, FP and FN of them: memory grows with points. A cell
+    without a pair counts (0, m, n) and is not scored; the others go to
+    ``block_batches`` in ascending order of their sorted sides (a stable
+    sort), so a batch holds cells of similar shape and pads few distances."""
     images = sorted(set(gt_by_image) | set(pred_by_image))
     ids = np.asarray(class_ids)
+    sorter = np.argsort(ids)
 
-    def by_class(points):
-        # the coordinates, their order sorted by class, stably, so each class
-        # keeps file order, and each class's bounds in that order
-        points = as_point_set(points)
-        if not (np.abs(points.xy) <= _MAX_COORD).all():  # NaN fails too
+    def by_cell(by_image):
+        # the points of the classes evaluated, keyed by cell and sorted by
+        # key, stably, so each cell keeps file order
+        sets = [as_point_set(by_image.get(i, ())) for i in images]
+        xy = np.concatenate([np.empty((0, 2)), *(s.xy for s in sets)])
+        if not (np.abs(xy) <= _MAX_COORD).all():  # NaN fails too
             raise ValueError(_COORD_ERROR)
-        order = np.argsort(points.cls, kind="stable")
-        cls = points.cls[order]
-        return points.xy, order, np.searchsorted(cls, ids), np.searchsorted(cls, ids, "right")
+        cls = np.concatenate([np.empty(0, np.int64), *(s.cls for s in sets)])
+        hit = np.isin(cls, ids)
+        image = np.repeat(np.arange(len(images)), list(map(len, sets)))[hit]
+        key = image * len(ids) + sorter[np.searchsorted(ids, cls[hit], sorter=sorter)]
+        order = np.argsort(key, kind="stable")
+        return key[order], xy[np.flatnonzero(hit)[order]]
 
-    sides = [[by_class(by_image.get(i, ())) for i in images]
-             for by_image in (gt_by_image, pred_by_image)]
-    # the size pass: each cell's ground truths n and predictions m
-    n, m = (np.array([hi - lo for _, _, lo, hi in side]).reshape(-1) for side in sides)
+    (gk, gxy), (pk, pxy) = by_cell(gt_by_image), by_cell(pred_by_image)
+    keys = np.union1d(gk, pk)
+    glo, ghi, plo, phi = (np.searchsorted(k, keys, s) for k in (gk, pk) for s in ("left", "right"))
+    n, m = ghi - glo, phi - plo
     over = np.flatnonzero(n * m > CELL_DISTANCES)
     if over.size:
-        k = over[0]
-        raise ValueError(
-            f"image {images[k // len(ids)]}, class {class_ids[k % len(ids)]}: "
-            f"{n[k]} x {m[k]} distances exceed the limit of one cell"
-        )
-
-    def cell(k):
-        i, c = divmod(k, len(ids))
-        return tuple(xy[order[lo[c]:hi[c]]] for xy, order, lo, hi in (side[i] for side in sides))
-
+        k, (i, j) = over[0], divmod(keys[over[0]], len(ids))
+        raise ValueError(f"image {images[i]}, class {class_ids[j]}: "
+                         f"{n[k]} x {m[k]} distances exceed the limit of one cell")
     counts = {p: np.stack([np.zeros_like(n), m, n], axis=1) for p in protocols}
     order = np.lexsort((np.maximum(n, m), np.minimum(n, m)))
     order = order[n[order] * m[order] > 0]
     for batch in block_batches(order.tolist(), lambda k: (n[k], m[k])):
-        for p, c in score_cells([cell(k) for k in batch], radius, protocols).items():
+        cells = [(gxy[glo[k]:ghi[k]], pxy[plo[k]:phi[k]]) for k in batch]
+        for p, c in score_cells(cells, radius, protocols).items():
             counts[p][batch] = c
-    return {p: c.reshape(len(images), len(ids), 3) for p, c in counts.items()}
+    return len(images), keys, counts
 
 
 def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
@@ -168,8 +168,10 @@ def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
     gts, preds = as_point_set(gts), as_point_set(preds)
     if class_ids is None:
         class_ids = np.union1d(gts.cls, preds.cls).tolist()
-    counts = _evaluate({"": gts}, {"": preds}, radius, class_ids, (protocol,))[protocol]
-    return {cls: ClassCounts(cls, *c) for cls, c in zip(class_ids, counts[0].tolist())}
+    class_ids = list(dict.fromkeys(class_ids))  # a repeated id is one class
+    _, keys, counts = _evaluate({"": gts}, {"": preds}, radius, class_ids, (protocol,))
+    found = dict(zip(keys.tolist(), counts[protocol].tolist()))  # one image: key = class index
+    return {cls: ClassCounts(cls, *found.get(j, ())) for j, cls in enumerate(class_ids)}
 
 
 def match_thresholded(
@@ -206,16 +208,23 @@ def match_greedy(
     return _match(Protocol.GREEDY, gts, preds, radius, class_ids)
 
 
-def _report(protocol: Protocol, counts: np.ndarray, config: EvalConfig) -> EvalReport:
-    """The report of one protocol's (images, classes, 3) counts."""
+def _report(protocol: Protocol, images: int, keys, counts, config: EvalConfig) -> EvalReport:
+    """The report of one protocol's counts of the keyed cells."""
+    classes = len(config.class_ids)
+    totals = np.zeros((classes, 3), dtype=np.int64)
+    np.add.at(totals, keys % classes, counts)
+    # the cells with a true positive by class, each in image order; the rest score 0.0
+    hits = np.flatnonzero(counts[:, 0] > 0)
+    hits = hits[np.argsort(keys[hits] % classes, kind="stable")]
+    bounds = np.searchsorted(keys[hits] % classes, np.arange(classes + 1))
     per_class = []
-    for j, cls in enumerate(config.class_ids):
-        total = ClassCounts(cls, *counts[:, j].sum(axis=0).tolist())
+    for j, (cls, total) in enumerate(zip(config.class_ids, totals.tolist())):
+        total = ClassCounts(cls, *total)
         if config.aggregate is Aggregate.DATASET_COUNTS:
             f1 = f1_from_counts(total)
         else:
-            hits = counts[counts[:, j, 0] > 0, j].tolist()  # the rest score 0.0
-            f1 = sum(f1_from_counts(ClassCounts(cls, *c)) for c in hits) / max(len(counts), 1)
+            cells = counts[hits[bounds[j]:bounds[j + 1]]].tolist()
+            f1 = sum(f1_from_counts(ClassCounts(cls, *c)) for c in cells) / max(images, 1)
         per_class.append((total, f1))
 
     macro = sum(f1 for _, f1 in per_class) / len(per_class)
@@ -223,7 +232,7 @@ def _report(protocol: Protocol, counts: np.ndarray, config: EvalConfig) -> EvalR
         per_class=tuple(per_class),
         macro_f1=macro,
         protocol=protocol,
-        images=len(counts),
+        images=images,
     )
 
 
@@ -239,10 +248,10 @@ def evaluate_dataset(
     ``dataset_counts`` TP/FP/FN are summed before F1; under
     ``per_image_mean`` per-image F1 scores are averaged.
     """
-    counts = _evaluate(
+    images, keys, counts = _evaluate(
         gt_by_image, pred_by_image, config.radius, config.class_ids, (config.protocol,)
     )
-    return _report(config.protocol, counts[config.protocol], config)
+    return _report(config.protocol, images, keys, counts[config.protocol], config)
 
 
 class ProtocolComparison(NamedTuple):
@@ -268,8 +277,9 @@ def compare_protocols(
     """Evaluate all three protocols on identical inputs, reporting relative
     F1 deltas against the corrected (matched) protocol."""
     config = EvalConfig(radius=radius, class_ids=class_ids, aggregate=aggregate)
-    counts = _evaluate(gt_by_image, pred_by_image, radius, class_ids, tuple(Protocol))
-    reports = {protocol: _report(protocol, counts[protocol], config) for protocol in Protocol}
+    images, keys, counts = _evaluate(gt_by_image, pred_by_image, radius, class_ids, tuple(Protocol))
+    reports = {protocol: _report(protocol, images, keys, counts[protocol], config)
+               for protocol in Protocol}
 
     reference = reports[Protocol.MATCHED]
     ref_by_class = {c.class_id: f1 for c, f1 in reference.per_class}

@@ -320,7 +320,15 @@ def read_point_file(path: str) -> PointTable:
     return table._replace(digest=hashlib.sha256(data).hexdigest())
 
 
+def _plain(value):
+    # a numpy scalar as the Python value it holds: numpy 2 writes an np.float64
+    # as "np.float64(1.5)", and json refuses an np.int64
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def write_point_file(path: str, records: list[PointRecord]) -> None:
+    records = [PointRecord(*map(_plain, r[:5]), None if r.confidences is None
+                           else tuple(map(_plain, r.confidences))) for r in records]
     n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
     for i, r in enumerate(records):
         if r.confidences is not None and len(r.confidences) != n_conf:
@@ -329,6 +337,8 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
         if r.confidences is not None and (n_conf < 2 or r.class_id >= n_conf):
             raise ValueError(f"record {i} (image {r.image_id}): {n_conf} confidences, but "
                              f"a vector needs bg, 1..T with T >= {max(r.class_id, 1)}")
+        if "\0" in str(r.image_id) and not path.endswith(".json"):
+            raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold a NUL")
     # the reader's checks of the columns, so that no file it refuses is written
     vectors = [(0.0,) * n_conf if r.confidences is None else r.confidences for r in records]
     try:
@@ -368,6 +378,8 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
         header += ["confidence"]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         writer = csv.writer(f, lineterminator="\n")
+        # csv quotes a field holding a CR only from Python 3.13 on
+        quoted = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
         for r in records:
             row = [r.image_id, repr(r.x), repr(r.y), r.class_id]
@@ -375,7 +387,7 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
                 row += [""] * n_conf if r.confidences is None else [repr(c) for c in r.confidences]
             elif has_single:
                 row += [repr(r.confidence) if r.confidence is not None else ""]
-            writer.writerow(row)
+            (quoted if "\r" in str(r.image_id) else writer).writerow(row)
 
 
 def _image_rows(table: PointTable):

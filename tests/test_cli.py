@@ -284,6 +284,56 @@ class TestCompare:
         ] * 6
 
 
+def _empty_point_files(tmp_path, ext):
+    """A ground-truth and a prediction file that hold no record."""
+    gt, pred = tmp_path / f"gt.{ext}", tmp_path / f"pred.{ext}"
+    if ext == "csv":
+        gt.write_text("image_id,x,y,class_id\n")
+        pred.write_text("image_id,x,y,class_id,confidence\n")
+    else:
+        gt.write_text("[]\n")
+        pred.write_text("[]\n")
+    return str(gt), str(pred)
+
+
+@pytest.mark.parametrize("aggregate", ["dataset-counts", "per-image-mean"])
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_evaluate_without_images_reports_integer_counts(tmp_path, capsys, ext, aggregate):
+    gt, pred = _empty_point_files(tmp_path, ext)
+    argv = ["evaluate", gt, pred, "--aggregate", aggregate]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = strict_loads(out)
+    assert payload["images"] == 0
+    assert payload["per_class"] == [
+        {"class": "1", "class_id": 1, "tp": 0, "fp": 0, "fn": 0, "f1": 0.0}
+    ]
+    assert all(type(payload["per_class"][0][k]) is int for k in ("tp", "fp", "fn"))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["class_id,class,tp,fp,fn,f1", "1,1,0,0,0,0.0000",
+                                    "macro,,,,,0.0000"]
+
+
+@pytest.mark.parametrize("aggregate", ["dataset-counts", "per-image-mean"])
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_compare_without_images_scores_zero(tmp_path, capsys, ext, aggregate):
+    gt, pred = _empty_point_files(tmp_path, ext)
+    argv = ["compare", gt, pred, "--aggregate", aggregate]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    rows = strict_loads(out)["protocols"]
+    assert [r["protocol"] for r in rows] == ["matched", "raw_hungarian", "greedy"]
+    assert all(r["per_class"] == [{"class": "1", "class_id": 1, "f1": 0.0, "delta_pct": 0.0}]
+               and r["macro_f1"] == r["macro_delta_pct"] == 0.0 for r in rows)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:7] == ["protocol,class,f1,delta_pct"] + [
+        f"{p},{c},0.0000,0.0000" for p in ("matched", "raw_hungarian", "greedy")
+        for c in ("1", "macro")
+    ]
+
+
 class TestMatch:
     def test_each_warning_printed_once(self, figure3_files):
         # match_hybrid warns in cmd_match and again inside combined_loss

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import tracemalloc
@@ -28,6 +29,29 @@ from pointmatch.types import BoolMatrix, CostMatrix, LabeledPoint, PointSet, Pre
 
 def pt(x, y, cls=1):
     return LabeledPoint(x=x, y=y, class_id=cls)
+
+
+def dense_counts(gt_by_image, pred_by_image, radius, class_ids, protocols):
+    """``evaluation._evaluate``'s counts of the cells that hold a point,
+    scattered back into one (images, classes, 3) array per protocol; a cell
+    without a point counts (0, 0, 0)."""
+    images, keys, counts = evaluation._evaluate(
+        gt_by_image, pred_by_image, radius, class_ids, protocols
+    )
+    assert (np.diff(keys) > 0).all()
+    dense = {}
+    for protocol, c in counts.items():
+        dense[protocol] = np.zeros((images * len(class_ids), 3), dtype=np.int64)
+        dense[protocol][keys] = c
+        dense[protocol] = dense[protocol].reshape(images, len(class_ids), 3)
+    return dense
+
+
+def report_of_dense(protocol, dense, config):
+    """``evaluation._report`` of an (images, classes, 3) counts array, every
+    cell keyed."""
+    keys = np.arange(dense.shape[0] * dense.shape[1])
+    return evaluation._report(protocol, len(dense), keys, dense.reshape(-1, 3), config)
 
 
 class TestF1FromCounts:
@@ -227,6 +251,40 @@ class TestEvaluateDataset:
         assert [f1 for _, f1 in report.per_class] == [0.5, 0.5]
         assert report.macro_f1 == 0.5
 
+    @pytest.mark.parametrize("aggregate", list(Aggregate))
+    def test_no_images_gives_integer_counts(self, aggregate):
+        for protocol in Protocol:
+            config = EvalConfig(protocol=protocol, class_ids=(2, 1), aggregate=aggregate)
+            report = evaluate_dataset({}, {}, config)
+            assert report == evaluation.EvalReport(
+                ((ClassCounts(2), 0.0), (ClassCounts(1), 0.0)), 0.0, protocol, 0
+            )
+            assert all(type(v) is int for counts, _ in report.per_class for v in counts)
+
+    def test_memory_grows_with_points_not_images_times_classes(self):
+        # 2,000 images of one pair each and 2,000 class ids: 4M (image,
+        # class) cells, of which 2,000 hold a point; one int64 per cell
+        # would take 32 MB
+        classes = tuple(range(1, 2001))
+        rng = random.Random(23)
+        gt_by_image, pred_by_image = {}, {}
+        for k in range(2000):
+            cls = rng.choice(classes)
+            gt_by_image[f"im{k}"] = PointSet(np.ones((1, 2)), np.array([cls]))
+            pred_by_image[f"im{k}"] = PointSet(np.full((1, 2), 1.5), np.array([cls]))
+        tracemalloc.start()
+        try:
+            rows = compare_protocols(gt_by_image, pred_by_image, 6.0, classes,
+                                     Aggregate.PER_IMAGE_MEAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        # every pair is a hit, so a class's F1 is its share of the images
+        images_of = collections.Counter(int(s.cls[0]) for s in gt_by_image.values())
+        for row in rows:
+            assert row.per_class_f1 == tuple((c, images_of[c] / 2000) for c in classes)
+
 
 class TestCompareProtocols:
     def test_figure3_deltas(self):
@@ -318,9 +376,7 @@ class TestRawHungarianBatches:
         gt_by_image, pred_by_image = self._dataset()
         images = sorted(set(gt_by_image) | set(pred_by_image))
         batches = self._record_batches(monkeypatch)
-        counts = evaluation._evaluate(
-            gt_by_image, pred_by_image, 6.0, (1, 2), tuple(Protocol)
-        )
+        counts = dense_counts(gt_by_image, pred_by_image, 6.0, (1, 2), tuple(Protocol))
         rows = compare_protocols(gt_by_image, pred_by_image, 6.0, (1, 2))
         report = evaluate_dataset(
             gt_by_image, pred_by_image,
@@ -423,7 +479,7 @@ class TestRawHungarianBatches:
                 config = EvalConfig(
                     radius=6.0, protocol=protocol, class_ids=classes, aggregate=aggregate
                 )
-                expected = evaluation._report(protocol, alone, config)
+                expected = report_of_dense(protocol, alone, config)
                 assert reports[protocol, aggregate] == expected
                 row = next(r for r in comparisons[aggregate] if r.protocol is protocol)
                 assert row.per_class_f1 == tuple((c.class_id, f1) for c, f1 in expected.per_class)
@@ -456,7 +512,7 @@ def test_sparse_classes_score_only_cells_with_a_pair(monkeypatch):
         return scored(cells, radius, protocols)
 
     monkeypatch.setattr(evaluation, "score_cells", record)
-    counts = evaluation._evaluate(gt_by_image, pred_by_image, 6.0, classes, tuple(Protocol))
+    counts = dense_counts(gt_by_image, pred_by_image, 6.0, classes, tuple(Protocol))
     monkeypatch.undo()
     images = sorted(gt_by_image)
     paired = sum(gt_by_image[i][0].class_id == pred_by_image[i][0].class_id for i in images)
@@ -499,7 +555,7 @@ def test_per_image_mean_equals_the_mean_over_every_cell(data):
     cells = data.draw(st.lists(_SPARSE_CELL, min_size=images * classes, max_size=images * classes))
     counts = np.array(cells, dtype=np.int64).reshape(images, classes, 3)
     config = EvalConfig(class_ids=tuple(range(1, classes + 1)), aggregate=Aggregate.PER_IMAGE_MEAN)
-    report = evaluation._report(Protocol.MATCHED, counts, config)
+    report = report_of_dense(Protocol.MATCHED, counts, config)
     for j, (total, f1) in enumerate(report.per_class):
         f1s = [f1_from_counts(ClassCounts(total.class_id, *c)) for c in counts[:, j].tolist()]
         expected = sum(f1s) / len(f1s) if f1s else 0.0
@@ -517,7 +573,7 @@ def test_one_large_cell_does_not_pad_the_small_ones():
             side[f"im{k:02d}"] = PointSet(rng.uniform(0, extent, (n, 2)), np.ones(n, np.int64))
     tracemalloc.start()
     try:
-        counts = evaluation._evaluate(
+        counts = dense_counts(
             gt_by_image, pred_by_image, 6.0, (1,), (Protocol.RAW_HUNGARIAN,)
         )[Protocol.RAW_HUNGARIAN]
         peak = tracemalloc.get_traced_memory()[1]
@@ -530,6 +586,18 @@ def test_one_large_cell_does_not_pad_the_small_ones():
         pairs = np.array(solve_min_cost(CostMatrix(dist)).pairs)
         tp = int(np.count_nonzero(dist[pairs[:, 0], pairs[:, 1]] <= 6.0))
         assert counts[k, 0].tolist() == [tp, len(preds) - tp, len(gts) - tp]
+
+
+@pytest.mark.parametrize("match", [match_thresholded, match_raw_hungarian, match_greedy])
+def test_repeated_class_ids_count_each_class_once(match):
+    gts = [pt(0, 0, 1), pt(20, 0, 1), pt(5, 5, 2)]
+    preds = [pt(1, 0, 1), pt(5, 6, 2), pt(40, 40, 2)]
+    assert match(gts, preds, 6.0, (1, 1)) == match(gts, preds, 6.0, (1,)) == {
+        1: ClassCounts(1, 1, 0, 1)
+    }
+    assert match(gts, preds, 6.0, (2, 1, 2, 1)) == match(gts, preds, 6.0, (2, 1))
+    assert list(match(gts, preds, 6.0, (2, 1, 2, 1))) == [2, 1]
+    assert match(gts, preds, 6.0, (2, 1))[2] == ClassCounts(2, 1, 1, 0)
 
 
 def test_config_validation():

@@ -373,3 +373,49 @@ def test_group_predicted_refuses_class_without_column(tmp_path):
     with pytest.raises(PointFileError) as refused:
         group_predicted(table(tmp_path, records), num_classes=2)
     assert str(refused.value) == "record for image b: class 3 is outside classes 1..2"
+
+
+PLAIN_RECORDS = [
+    PointRecord("a", 1.5, -2.25, 2, confidences=(0.25, 0.25, 0.5)),
+    PointRecord("b", 3.0, 0.0, 1),
+]
+# the same values as numpy scalars and arrays
+NUMPY_RECORDS = [
+    PointRecord(np.str_("a"), np.float64(1.5), np.float32(-2.25), np.int64(2),
+                confidences=np.array([0.25, 0.25, 0.5])),
+    PointRecord("b", np.float64(3.0), np.float16(0.0), np.int32(1)),
+]
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize("plain, numpy", [
+    (PLAIN_RECORDS, NUMPY_RECORDS),
+    ([PointRecord("c", 0.5, 1.0, 3, confidence=0.75)],
+     [PointRecord("c", np.float64(0.5), 1.0, np.uint8(3), confidence=np.float64(0.75))]),
+], ids=["vectors", "single-confidence"])
+def test_numpy_scalars_are_written_as_plain_values(tmp_path, ext, plain, numpy):
+    _, back = roundtrip(tmp_path, numpy, f"numpy.{ext}")
+    assert back == plain
+    write_point_file(str(tmp_path / f"plain.{ext}"), plain)
+    assert (tmp_path / f"numpy.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_image_ids_with_line_breaks_and_quotes_read_back_equal(tmp_path, ext):
+    # csv quotes a CR only from Python 3.13 on; unquoted, the file read back
+    # as "line 2: expected 4 fields, got 1"
+    records = [PointRecord(image_id, 1.0, 2.0, 1)
+               for image_id in ("a\rb", "c\r\nd", "e\nf", "g\"h,i", "\r", "plain")]
+    _, back = roundtrip(tmp_path, records, f"ids.{ext}")
+    assert back == records
+
+
+def test_csv_writer_refuses_a_nul_image_id_before_opening_the_file(tmp_path):
+    records = [PointRecord("a", 0.0, 0.0, 1), PointRecord("b\0c", 1.0, 0.0, 1)]
+    path = tmp_path / "nul.csv"
+    with pytest.raises(ValueError) as refused:
+        write_point_file(str(path), records)
+    assert str(refused.value) == "record 1 (image 'b\\x00c'): a CSV image_id cannot hold a NUL"
+    assert not path.exists()
+    # JSON escapes it, and its reader takes it back
+    assert roundtrip(tmp_path, records, "nul.json")[1] == records
