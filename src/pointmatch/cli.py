@@ -9,9 +9,14 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
+
+# no command calls BLAS, so numpy's OpenBLAS need not start a spinning worker per CPU
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -112,9 +112,12 @@ def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Pro
             tp[Protocol.MATCHED] = np.bincount(cell_of_row[matched], minlength=k)
         if Protocol.GREEDY in protocols:
             # every prediction with an edge is a hit, every ground truth
-            # without one a miss
-            tp[Protocol.GREEDY] = np.bincount(cell_of_col[np.unique(pred)], minlength=k)
-            fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[np.unique(gt)], minlength=k)
+            # without one a miss (edge counts, not np.unique: from numpy 2.3
+            # on it hashes, ~10x slower at these sizes)
+            hit = np.bincount(pred, minlength=len(cell_of_col)) > 0
+            tp[Protocol.GREEDY] = np.bincount(cell_of_col[hit], minlength=k)
+            covered = np.bincount(gt, minlength=len(cell_of_row)) > 0
+            fn[Protocol.GREEDY] = n - np.bincount(cell_of_row[covered], minlength=k)
     return {p: np.stack([tp[p], m - tp[p], fn.get(p, n - tp[p])], axis=1) for p in protocols}
 
 

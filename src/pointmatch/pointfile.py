@@ -247,6 +247,22 @@ def _number(value, name: str, kind=(int, float)):
     return value
 
 
+def _check_fields(obj: dict) -> None:
+    """The type checks of one JSON record's fields, which the writer also
+    makes of every record it writes (whose vector is a tuple)."""
+    vector = obj.get("confidences")
+    if vector is not None and not (isinstance(vector, (list, tuple))
+                                   and all(map(_is_number, vector))):
+        raise ValueError("confidences must be an array of numbers")
+    if not isinstance(obj["image_id"], str):
+        raise ValueError("image_id must be a JSON string")
+    _number(obj["x"], "x")
+    _number(obj["y"], "y")
+    _number(obj["class_id"], "class_id", int)
+    if obj.get("confidence") is not None:
+        _number(obj["confidence"], "confidence")
+
+
 def _json_table(data: list) -> PointTable:
     image_id, x, y, cls, conf, vectors = [], [], [], [], [], []
     width = None
@@ -254,21 +270,17 @@ def _json_table(data: list) -> PointTable:
         try:
             if not isinstance(obj, dict):
                 raise ValueError("a record must be a JSON object")
+            _check_fields(obj)
             vector = obj.get("confidences")
             if vector is not None:
-                if not (isinstance(vector, list) and all(map(_is_number, vector))):
-                    raise ValueError("confidences must be an array of numbers")
                 width = len(vector) if width is None else width
                 if len(vector) != width:
                     raise ValueError("confidences must all have the same length")
-            if not isinstance(obj["image_id"], str):
-                raise ValueError("image_id must be a JSON string")
             image_id.append(obj["image_id"])
-            x.append(_number(obj["x"], "x"))
-            y.append(_number(obj["y"], "y"))
-            cls.append(_number(obj["class_id"], "class_id", int))
-            c = obj.get("confidence")
-            conf.append(None if c is None else _number(c, "confidence"))
+            x.append(obj["x"])
+            y.append(obj["y"])
+            cls.append(obj["class_id"])
+            conf.append(obj.get("confidence"))
             vectors.append(vector)
         except (KeyError, TypeError, ValueError) as exc:
             raise _BadRow(i, str(exc)) from None
@@ -331,21 +343,25 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
                            else tuple(map(_plain, r.confidences))) for r in records]
     n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
     for i, r in enumerate(records):
+        try:
+            _check_fields(r._asdict())
+        except ValueError as exc:
+            raise ValueError(f"record {i} (image {r.image_id}): {exc}") from None
         if r.confidences is not None and len(r.confidences) != n_conf:
             raise ValueError(f"record {i} (image {r.image_id}): {len(r.confidences)} "
                              f"confidences, but the first vector has {n_conf}")
         if r.confidences is not None and (n_conf < 2 or r.class_id >= n_conf):
             raise ValueError(f"record {i} (image {r.image_id}): {n_conf} confidences, but "
                              f"a vector needs bg, 1..T with T >= {max(r.class_id, 1)}")
-        if "\0" in str(r.image_id) and not path.endswith(".json"):
+        if "\0" in r.image_id and not path.endswith(".json"):
             raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold a NUL")
     # the reader's checks of the columns, so that no file it refuses is written
     vectors = [(0.0,) * n_conf if r.confidences is None else r.confidences for r in records]
     try:
-        _table(None, np.array([(r.x, r.y) for r in records], dtype=float).reshape(-1, 2),
-               np.array([r.class_id for r in records], dtype=np.int64),
-               np.array([r.confidence or 0.0 for r in records], dtype=float),
-               np.array(vectors, dtype=float) if n_conf else None,
+        _table(None, _column([(r.x, r.y) for r in records], float).reshape(-1, 2),
+               _column([r.class_id for r in records], np.int64),
+               _column([r.confidence or 0.0 for r in records], float),
+               _column(vectors, float) if n_conf else None,
                no_vector=np.array([r.confidences is None for r in records]) if n_conf else None)
     except _BadRow as bad:
         i = bad.index
@@ -387,7 +403,7 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
                 row += [""] * n_conf if r.confidences is None else [repr(c) for c in r.confidences]
             elif has_single:
                 row += [repr(r.confidence) if r.confidence is not None else ""]
-            (quoted if "\r" in str(r.image_id) else writer).writerow(row)
+            (quoted if "\r" in r.image_id else writer).writerow(row)
 
 
 def _image_rows(table: PointTable):

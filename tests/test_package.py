@@ -1,4 +1,5 @@
-"""The package's lazy exports, and the modules each CLI command loads."""
+"""The package's lazy exports, the modules each CLI command loads, and the
+BLAS threads a CLI process starts."""
 
 import ast
 import importlib
@@ -44,6 +45,28 @@ except SystemExit as exc:
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# imports pointmatch or runs the CLI as LOADED does, optionally after
+# numpy, then prints OPENBLAS_NUM_THREADS and the process's thread count
+# (null where /proc/self/task does not exist)
+BLAS_STATE = """
+import json, os, runpy, sys
+how, sys.argv = sys.argv[1], ["pointmatch", *sys.argv[2:]]
+if how == "numpy-first":
+    import numpy
+if how == "bare":
+    import pointmatch
+elif how == "main":
+    try:
+        runpy.run_module("pointmatch.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import pointmatch.cli
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
 CORE = ["pointmatch", "pointmatch.assignment", "pointmatch.matching", "pointmatch.pointfile",
         "pointmatch.types"]
 
@@ -51,6 +74,16 @@ CORE = ["pointmatch", "pointmatch.assignment", "pointmatch.matching", "pointmatc
 def loaded_modules(*argv, script=LOADED):
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def blas_state(how, *argv, **env):
+    """(OPENBLAS_NUM_THREADS, thread count) of a fresh interpreter that ran
+    BLAS_STATE, started without OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", BLAS_STATE, how, *argv], capture_output=True,
+                          text=True, env={**base, "PYTHONPATH": SRC, **env}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -127,3 +160,28 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="solve_min_cost_batch"):
         pointmatch.solve_min_cost_batch  # noqa: B018
     assert not hasattr(pointmatch, "solve_min_cost_batch")
+
+
+@pytest.mark.parametrize("how", ["import", "main"])
+def test_cli_process_starts_no_blas_worker(tiny_files, how):
+    gt, pred, out = tiny_files
+    value, threads = blas_state(how, "match", gt, pred, "--output", out)
+    assert value == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/task to count the process's threads")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("how", ["import", "main"])
+def test_a_users_blas_thread_count_wins(tiny_files, how):
+    gt, pred, out = tiny_files
+    assert blas_state(how, "match", gt, pred, "--output", out,
+                      OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_cli_leaves_blas_alone_after_numpy():
+    assert blas_state("numpy-first")[0] is None
+
+
+def test_bare_import_leaves_blas_alone():
+    assert blas_state("bare")[0] is None

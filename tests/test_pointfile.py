@@ -346,6 +346,21 @@ REFUSED_RECORDS = {
                        "confidence must be in [0, 1]"),
     "vector-entry-below-0": (PointRecord("b", 1.0, 0.0, 1, confidences=(-0.25, 1.0)),
                              "confidences must be in [0, 1]"),
+    # field types: CSV wrote them as text its reader refuses or reads back
+    # differently, JSON as values of the wrong JSON type
+    "string-x": (PointRecord("b", "1", 0.0, 1), "x must be a JSON number"),
+    "string-y": (PointRecord("b", 1.0, "0", 1), "y must be a JSON number"),
+    "string-confidence": (PointRecord("b", 1.0, 0.0, 1, confidence="0.5"),
+                          "confidence must be a JSON number"),
+    "string-vector-entry": (PointRecord("b", 1.0, 0.0, 1, confidences=("0.5", 0.5)),
+                            "confidences must be an array of numbers"),
+    "bool-class": (PointRecord("b", 1.0, 0.0, True), "class_id must be a JSON integer"),
+    "numpy-bool-class": (PointRecord("b", 1.0, 0.0, np.True_), "class_id must be a JSON integer"),
+    "fractional-class": (PointRecord("b", 1.0, 0.0, 1.5), "class_id must be a JSON integer"),
+    "integral-float-class": (PointRecord("b", 1.0, 0.0, 1.0), "class_id must be a JSON integer"),
+    "int-image-id": (PointRecord(5, 1.0, 0.0, 1), "image_id must be a JSON string"),
+    "class-beyond-int64": (PointRecord("b", 1.0, 0.0, 2**70),
+                           "Python int too large to convert to C long"),
 }
 
 
@@ -356,11 +371,11 @@ def test_writer_refuses_records_its_reader_refuses(tmp_path, ext, kind):
     path = tmp_path / f"refused.{ext}"
     with pytest.raises(ValueError) as refused:
         write_point_file(str(path), [PointRecord("a", 0.0, 0.0, 1), record])
-    assert str(refused.value) == f"record 1 (image b): {message}"
+    assert str(refused.value) == f"record 1 (image {record.image_id}): {message}"
     assert not path.exists()
     # the reader gives the same message for the record written by hand
     by_hand = tmp_path / "by_hand.json"
-    obj = {k: v for k, v in record._asdict().items() if v is not None}
+    obj = {k: pointfile._plain(v) for k, v in record._asdict().items() if v is not None}
     by_hand.write_text(json.dumps([obj]))
     with pytest.raises(PointFileError) as read:
         read_point_file(str(by_hand))
