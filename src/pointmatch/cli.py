@@ -100,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
     """The class ids named by ``--class-ids`` or ``--classes`` (None: take
     them from the input files), and the names ``--classes`` binds to 1..T."""
-    names = dict(enumerate((n for n in (args.classes or "").split(",") if n), start=1))
+    names = {} if args.classes is None else dict(enumerate(args.classes.split(","), start=1))
+    if "" in names.values():  # dropping it would shift the names after it to lower ids
+        raise ConfigError(f"--classes holds an empty name: {args.classes!r}")
     if not args.class_ids:
         return (tuple(names) if args.classes else None), names
     try:

@@ -247,22 +247,6 @@ def _number(value, name: str, kind=(int, float)):
     return value
 
 
-def _check_fields(obj: dict) -> None:
-    """The type checks of one JSON record's fields, which the writer also
-    makes of every record it writes (whose vector is a tuple)."""
-    vector = obj.get("confidences")
-    if vector is not None and not (isinstance(vector, (list, tuple))
-                                   and all(map(_is_number, vector))):
-        raise ValueError("confidences must be an array of numbers")
-    if not isinstance(obj["image_id"], str):
-        raise ValueError("image_id must be a JSON string")
-    _number(obj["x"], "x")
-    _number(obj["y"], "y")
-    _number(obj["class_id"], "class_id", int)
-    if obj.get("confidence") is not None:
-        _number(obj["confidence"], "confidence")
-
-
 def _json_table(data: list) -> PointTable:
     image_id, x, y, cls, conf, vectors = [], [], [], [], [], []
     width = None
@@ -270,19 +254,26 @@ def _json_table(data: list) -> PointTable:
         try:
             if not isinstance(obj, dict):
                 raise ValueError("a record must be a JSON object")
-            _check_fields(obj)
             vector = obj.get("confidences")
+            if vector is not None and not (isinstance(vector, (list, tuple))
+                                           and all(map(_is_number, vector))):
+                raise ValueError("confidences must be an array of numbers")
+            if not isinstance(obj["image_id"], str):
+                raise ValueError("image_id must be a JSON string")
+            image_id.append(obj["image_id"])
+            x.append(_number(obj["x"], "x"))
+            y.append(_number(obj["y"], "y"))
+            cls.append(_number(obj["class_id"], "class_id", int))
+            value = obj.get("confidence")
+            conf.append(None if value is None else _number(value, "confidence"))
             if vector is not None:
                 width = len(vector) if width is None else width
                 if len(vector) != width:
                     raise ValueError("confidences must all have the same length")
-            image_id.append(obj["image_id"])
-            x.append(obj["x"])
-            y.append(obj["y"])
-            cls.append(obj["class_id"])
-            conf.append(obj.get("confidence"))
             vectors.append(vector)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise _BadRow(i, f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise _BadRow(i, str(exc)) from None
     xy = np.stack([_column(x, float), _column(y, float)], axis=1)
     confidence = no_confidence = confidences = no_vector = None
@@ -341,45 +332,22 @@ def _plain(value):
 def write_point_file(path: str, records: list[PointRecord]) -> None:
     records = [PointRecord(*map(_plain, r[:5]), None if r.confidences is None
                            else tuple(map(_plain, r.confidences))) for r in records]
-    n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
-    for i, r in enumerate(records):
-        try:
-            _check_fields(r._asdict())
-        except ValueError as exc:
-            raise ValueError(f"record {i} (image {r.image_id}): {exc}") from None
-        if r.confidences is not None and len(r.confidences) != n_conf:
-            raise ValueError(f"record {i} (image {r.image_id}): {len(r.confidences)} "
-                             f"confidences, but the first vector has {n_conf}")
-        if r.confidences is not None and (n_conf < 2 or r.class_id >= n_conf):
-            raise ValueError(f"record {i} (image {r.image_id}): {n_conf} confidences, but "
-                             f"a vector needs bg, 1..T with T >= {max(r.class_id, 1)}")
-        if "\0" in r.image_id and not path.endswith(".json"):
-            raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold a NUL")
-    # the reader's checks of the columns, so that no file it refuses is written
-    vectors = [(0.0,) * n_conf if r.confidences is None else r.confidences for r in records]
+    objs = [{k: v for k, v in r._asdict().items() if v is not None} for r in records]
+    # the JSON reader's own record builder, so that no file it refuses is written
     try:
-        _table(None, _column([(r.x, r.y) for r in records], float).reshape(-1, 2),
-               _column([r.class_id for r in records], np.int64),
-               _column([r.confidence or 0.0 for r in records], float),
-               _column(vectors, float) if n_conf else None,
-               no_vector=np.array([r.confidences is None for r in records]) if n_conf else None)
-    except _BadRow as bad:
-        i = bad.index
-        raise ValueError(f"record {i} (image {records[i].image_id}): {bad}") from None
+        _checked(objs, _json_table, lambda i: f"record {i} (image {records[i].image_id})")
+    except PointFileError as exc:
+        raise ValueError(str(exc)) from None
     if path.endswith(".json"):
-        payload = []
-        for r in records:
-            obj = {"image_id": r.image_id, "x": r.x, "y": r.y, "class_id": r.class_id}
-            if r.confidence is not None:
-                obj["confidence"] = r.confidence
-            if r.confidences is not None:
-                obj["confidences"] = list(r.confidences)
-            payload.append(obj)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(payload, f, indent=2)
+            json.dump(objs, f, indent=2)
             f.write("\n")
         return
 
+    for i, r in enumerate(records):
+        if "\0" in r.image_id:
+            raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold a NUL")
+    n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
     has_single = any(r.confidence is not None for r in records)
     header = list(_BASE_COLUMNS)
     if n_conf:

@@ -844,7 +844,8 @@ def test_match_keeps_only_the_vector_columns_of_occurring_classes(tmp_path, caps
     ("pred.json", "{}", "JSON point file must be an array of records"),
     ("pred.csv", "", "line 1: missing header"),
     ("pred.csv", "\ufeff", "line 1: missing header"),
-], ids=["json-non-object", "json-object", "csv-empty", "csv-bom-only"])
+    ("pred.json", '[{"image_id": "a", "y": 1, "class_id": 1}]', "record 0: missing field 'x'"),
+], ids=["json-non-object", "json-object", "csv-empty", "csv-bom-only", "json-missing-field"])
 def test_malformed_file_exits_2_with_its_line(figure3_files, tmp_path, capsys,
                                               name, content, message):
     path = tmp_path / name
@@ -860,3 +861,16 @@ def test_bad_class_ids_exit_3_with_their_line(figure3_files, capsys, class_ids, 
     assert run(capsys, "evaluate", *figure3_files, "--class-ids", class_ids) == (
         3, "", f"error: {message}\n"
     )
+
+
+@pytest.mark.parametrize("classes", [",lym,mac", "epi,,mac", "epi,", ""])
+def test_empty_class_name_exits_3(tmp_path, capsys, classes):
+    # classes 1 and 3 occur: a dropped empty name used to shift the names
+    # after it to lower ids, or to leave class 3 unknown
+    gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt.write_text("image_id,x,y,class_id\na,0,0,1\na,9,0,3\n")
+    pred.write_text("image_id,x,y,class_id\na,1,0,1\na,8,0,3\n")
+    for command in ("evaluate", "compare"):
+        assert run(capsys, command, str(gt), str(pred), "--classes", classes) == (
+            3, "", f"error: --classes holds an empty name: {classes!r}\n"
+        )

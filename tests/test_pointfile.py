@@ -315,24 +315,8 @@ def test_writer_refuses_vectors_of_different_lengths(tmp_path, name):
                PointRecord("b", 0.0, 0.0, 1, confidences=(0.1, 0.2, 0.7))]
     with pytest.raises(ValueError) as refused:
         write_point_file(str(tmp_path / name), records)
-    assert str(refused.value) == "record 2 (image b): 3 confidences, but the first vector has 2"
+    assert str(refused.value) == "record 2 (image b): confidences must all have the same length"
     assert not (tmp_path / name).exists()
-
-
-@pytest.mark.parametrize("ext", ["csv", "json"])
-@pytest.mark.parametrize("class_id, vector, message", [
-    (1, (0.5,), "1 confidences, but a vector needs bg, 1..T with T >= 1"),
-    (1, (), "0 confidences, but a vector needs bg, 1..T with T >= 1"),
-    (2, (0.4, 0.6), "2 confidences, but a vector needs bg, 1..T with T >= 2"),
-], ids=["one-entry", "empty", "class-beyond-vector"])
-def test_writer_refuses_vectors_its_reader_refuses(tmp_path, ext, class_id, vector, message):
-    records = [PointRecord("a", 0.0, 0.0, 1), PointRecord("b", 1.0, 0.0, class_id,
-                                                          confidences=vector)]
-    path = tmp_path / f"short.{ext}"
-    with pytest.raises(ValueError) as refused:
-        write_point_file(str(path), records)
-    assert str(refused.value) == f"record 1 (image b): {message}"
-    assert not path.exists()
 
 
 # one record of each kind the reader refuses, and the reader's message for it
@@ -346,6 +330,12 @@ REFUSED_RECORDS = {
                        "confidence must be in [0, 1]"),
     "vector-entry-below-0": (PointRecord("b", 1.0, 0.0, 1, confidences=(-0.25, 1.0)),
                              "confidences must be in [0, 1]"),
+    "one-entry-vector": (PointRecord("b", 1.0, 0.0, 1, confidences=(0.5,)),
+                         "class_id outside confidence vector"),
+    "empty-vector": (PointRecord("b", 1.0, 0.0, 1, confidences=()),
+                     "class_id outside confidence vector"),
+    "class-beyond-vector": (PointRecord("b", 1.0, 0.0, 2, confidences=(0.4, 0.6)),
+                            "class_id outside confidence vector"),
     # field types: CSV wrote them as text its reader refuses or reads back
     # differently, JSON as values of the wrong JSON type
     "string-x": (PointRecord("b", "1", 0.0, 1), "x must be a JSON number"),
@@ -434,3 +424,67 @@ def test_csv_writer_refuses_a_nul_image_id_before_opening_the_file(tmp_path):
     assert not path.exists()
     # JSON escapes it, and its reader takes it back
     assert roundtrip(tmp_path, records, "nul.json")[1] == records
+
+
+# valid values are drawn more often than faulty ones, so that many lists are written
+WRITTEN_IDS = st.sampled_from(["a", "b", "c d", np.str_("e")] * 3
+                              + ["f\rg", "h\ni", 'j"k', "l,m", "n\0o", "\0", 5])
+WRITTEN_COORDS = st.sampled_from([0.0, 1.5, -3.0, 7, np.float64(2.5), np.float32(0.5)] * 6
+                                 + [float("nan"), float("inf"), -float("inf"), 1e101, "1"])
+WRITTEN_CLASSES = st.sampled_from([1, 2, np.int64(2)] * 6 + [3, 0, True, 1.5, 2**70])
+WRITTEN_CONFIDENCES = st.sampled_from([0.0, 0.25, 1, np.float64(0.5)] * 6
+                                      + [1.5, -0.1, float("nan"), "0.5"])
+# the two refusals a JSON file cannot express
+CSV_ONLY = ("a CSV image_id cannot hold a NUL",
+            "a conf_* CSV has no column for its single confidence")
+
+
+@st.composite
+def written_records(draw):
+    # most vectors of a list share one length
+    width = draw(st.sampled_from([3, 4] * 3 + [0, 1, 2]))
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        confidence = draw(st.none() | st.none() | WRITTEN_CONFIDENCES)
+        vector = None
+        if draw(st.booleans()):
+            length = draw(st.sampled_from([width] * 8 + [0, 1, 2, 3, 4]))
+            vector = tuple(draw(WRITTEN_CONFIDENCES) for _ in range(length))
+        records.append(PointRecord(draw(WRITTEN_IDS), draw(WRITTEN_COORDS), draw(WRITTEN_COORDS),
+                                   draw(WRITTEN_CLASSES), confidence, vector))
+    return records
+
+
+def _json_object(record):
+    """``record`` as the JSON object a person would write for it."""
+    obj = {k: pointfile._plain(v) for k, v in record._asdict().items() if v is not None}
+    if "confidences" in obj:
+        obj["confidences"] = [pointfile._plain(c) for c in obj["confidences"]]
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=written_records())
+def test_writer_refuses_what_its_reader_refuses_and_writes_what_it_reads_back(text_dir, records):
+    by_hand = text_dir / "by_hand.json"
+    by_hand.write_text(json.dumps([_json_object(r) for r in records]))
+    expected = None
+    try:
+        read_point_file(str(by_hand))
+    except PointFileError as exc:
+        where, message = str(exc).split(": ", 1)
+        i = int(where.removeprefix("record "))
+        expected = f"record {i} (image {records[i].image_id}): {message}"
+    for ext in ("csv", "json"):
+        path = text_dir / f"written.{ext}"
+        path.unlink(missing_ok=True)
+        try:
+            write_point_file(str(path), records)
+        except ValueError as exc:
+            assert not path.exists()
+            if expected is None:
+                assert ext == "csv" and str(exc).endswith(CSV_ONLY)
+            else:
+                assert str(exc) == expected
+        else:
+            assert expected is None and read_point_file(str(path)) == records
