@@ -13,18 +13,16 @@ __version__ = "0.1.0"
 
 # each exported name and the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(["AnchorSet", "GridSpec", "apply_offsets", "make_grid",
-                     "threshold_predictions"], "anchors"),
-    **dict.fromkeys(["solve_max_matching", "solve_min_cost"], "assignment"),
+    **dict.fromkeys(["AnchorSet", "GridSpec", "apply_offsets", "make_grid"], "anchors"),
+    **dict.fromkeys(["solve_min_cost"], "assignment"),
     **dict.fromkeys(["ClassCounts", "EvalConfig", "EvalReport", "compare_protocols",
-                     "evaluate_dataset", "f1_from_counts", "match_greedy",
-                     "match_raw_hungarian", "match_thresholded"], "evaluation"),
+                     "evaluate_dataset", "f1_from_counts"], "evaluation"),
     **dict.fromkeys(["LossBreakdown", "MatchConfig", "MatchOutcome", "build_cost_matrix",
                      "classification_loss", "combined_loss", "match_hybrid",
                      "match_one_to_one", "regression_loss"], "matching"),
     **dict.fromkeys(["PerturbationModel", "figure3_fixture", "gen_ground_truth", "perturb"],
                     "synth"),
-    **dict.fromkeys(["Aggregate", "Assignment", "BoolMatrix", "CostMatrix", "LabeledPoint",
+    **dict.fromkeys(["Aggregate", "Assignment", "CostMatrix", "LabeledPoint",
                      "PointSet", "PredictedPoint", "Protocol"], "types"),
 }
 __all__ = sorted(_EXPORTS)

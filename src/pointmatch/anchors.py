@@ -1,14 +1,11 @@
-"""Regular proposal-candidate grids, offset application and confidence
-thresholding into a final prediction set."""
+"""Regular proposal-candidate grids and offset application."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .types import LabeledPoint, PredictedPoint, _Frozen
+from .types import PredictedPoint, _Frozen
 
 
 class GridSpec(_Frozen):
@@ -75,28 +72,4 @@ def apply_offsets(
     out = []
     for (ax, ay), (dx, dy), conf in zip(anchors.positions, offsets, confidences):
         out.append(PredictedPoint(x=ax + dx, y=ay + dy, confidences=tuple(conf)))
-    return out
-
-
-def threshold_predictions(
-    points: list[PredictedPoint],
-    thresholds: list[float],
-) -> list[tuple[LabeledPoint, float]]:
-    """Keep points whose argmax class is a foreground class with confidence
-    strictly above that class's threshold.
-
-    ``thresholds`` covers foreground classes only (index 0 -> class 1).
-    The argmax runs over background plus foreground; background-dominant
-    points are dropped regardless of thresholds.
-    """
-    out = []
-    for p in points:
-        if p.num_classes != len(thresholds):
-            raise ValueError("threshold vector length does not match class count")
-        conf = np.asarray(p.confidences)
-        cls = int(np.argmax(conf))
-        if cls == 0:
-            continue
-        if conf[cls] > thresholds[cls - 1]:
-            out.append((LabeledPoint(x=p.x, y=p.y, class_id=cls), float(conf[cls])))
     return out

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .types import Assignment, BoolMatrix, CostMatrix
+from .types import Assignment, CostMatrix
 
 TIE_TOL = 1e-9
 
@@ -495,9 +495,3 @@ def max_matching_edges(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, 
         np.concatenate([rows[alone], row_ids[pairs[:, 0]]]),
         np.concatenate([cols[alone], col_ids[pairs[:, 1]]]),
     )
-
-
-def solve_max_matching(adjacency: BoolMatrix) -> Assignment:
-    """Maximum-cardinality matching with the standard lexicographic tie-break."""
-    rows, cols = max_matching_edges(*np.nonzero(adjacency.values))
-    return _finish(zip(rows.tolist(), cols.tolist()), adjacency.rows, adjacency.cols)

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input parse error, 3 configuration error or bad option.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -161,9 +160,17 @@ def _write_report(args, tables, config: dict, payload: dict, render) -> int:
             *(f"# input: {p} sha256={d}" for p, d in sorted(manifest["input_digests"].items())),
             f"# timestamp: {manifest['timestamp']}",
         ])
-    with (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
-          else contextlib.nullcontext(sys.stdout)) as f:
-        f.write(text + "\n")
+    text += "\n"
+    try:  # before --output is opened, which would truncate it
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text[text.rfind("\n", 0, exc.start) + 1:text.find("\n", exc.start)].strip()
+        raise ValueError(f"the report cannot be encoded as UTF-8: {line!r}") from None
+    if args.output:
+        with open(args.output, "wb") as f:
+            f.write(data)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

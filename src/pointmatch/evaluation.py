@@ -165,52 +165,6 @@ def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols):
     return len(images), keys, counts
 
 
-def _match(protocol, gts, preds, radius, class_ids) -> dict[int, ClassCounts]:
-    """Counts per class of one image under ``protocol``."""
-    EvalConfig(radius=radius)  # refuses a radius that is not positive and finite
-    gts, preds = as_point_set(gts), as_point_set(preds)
-    if class_ids is None:
-        class_ids = np.union1d(gts.cls, preds.cls).tolist()
-    class_ids = list(dict.fromkeys(class_ids))  # a repeated id is one class
-    _, keys, counts = _evaluate({"": gts}, {"": preds}, radius, class_ids, (protocol,))
-    found = dict(zip(keys.tolist(), counts[protocol].tolist()))  # one image: key = class index
-    return {cls: ClassCounts(cls, *found.get(j, ())) for j, cls in enumerate(class_ids)}
-
-
-def match_thresholded(
-    gts: Points,
-    preds: Points,
-    radius: float,
-    class_ids: tuple[int, ...] | None = None,
-) -> dict[int, ClassCounts]:
-    """Corrected protocol: threshold distances at the radius (inclusive),
-    then maximum bipartite matching per class; TP = matching size."""
-    return _match(Protocol.MATCHED, gts, preds, radius, class_ids)
-
-
-def match_raw_hungarian(
-    gts: Points,
-    preds: Points,
-    radius: float,
-    class_ids: tuple[int, ...] | None = None,
-) -> dict[int, ClassCounts]:
-    """Flawed protocol: min-cost assignment on the raw distance matrix,
-    radius filtering only afterwards. Reproduced deliberately; its global
-    objective can discard locally correct detections."""
-    return _match(Protocol.RAW_HUNGARIAN, gts, preds, radius, class_ids)
-
-
-def match_greedy(
-    gts: Points,
-    preds: Points,
-    radius: float,
-    class_ids: tuple[int, ...] | None = None,
-) -> dict[int, ClassCounts]:
-    """Flawed protocol: every prediction within the radius of any same-class
-    ground truth counts as a true positive (one-to-many), inflating TP."""
-    return _match(Protocol.GREEDY, gts, preds, radius, class_ids)
-
-
 def _report(protocol: Protocol, images: int, keys, counts, config: EvalConfig) -> EvalReport:
     """The report of one protocol's counts of the keyed cells."""
     classes = len(config.class_ids)

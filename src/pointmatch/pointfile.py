@@ -347,6 +347,11 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
     for i, r in enumerate(records):
         if "\0" in r.image_id:
             raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold a NUL")
+        try:
+            r.image_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"record {i} (image {r.image_id!r}): a CSV image_id cannot hold "
+                             "a surrogate, which UTF-8 cannot encode") from None
     n_conf = next((len(r.confidences) for r in records if r.confidences is not None), 0)
     has_single = any(r.confidence is not None for r in records)
     header = list(_BASE_COLUMNS)

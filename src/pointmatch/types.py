@@ -102,10 +102,6 @@ class PredictedPoint(_Frozen):
             raise ValueError("confidences must lie in [0, 1]")
         _check_coords(self.x, self.y)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.confidences) - 1
-
 
 class PointSet(_Frozen):
     """The points of one image as columns: coordinates ``xy`` (n, 2) and
@@ -204,29 +200,6 @@ class CostMatrix:
         return f"CostMatrix({self.rows}x{self.cols})"
 
 
-class BoolMatrix:
-    """Dense rectangular boolean adjacency matrix."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=bool)
-        if arr.ndim != 2:
-            raise ValueError("boolean matrix must be 2-dimensional")
-        self.values = arr
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def __repr__(self):
-        return f"BoolMatrix({self.rows}x{self.cols})"
-
-
 class Assignment(_Frozen):
     """A one-to-one pairing between row and column index sets.
 
@@ -246,11 +219,3 @@ class Assignment(_Frozen):
             raise ValueError("duplicate row or column index in pairs")
         if set(rows) & set(self.unmatched_rows) or set(cols) & set(self.unmatched_cols):
             raise ValueError("matched index listed as unmatched")
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def total_cost(self, costs: CostMatrix) -> float:
-        """Sum of matrix entries over the matched pairs."""
-        return float(sum(costs.values[r, c] for r, c in self.pairs))

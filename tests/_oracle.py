@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from pointmatch.assignment import TIE_TOL, _finish
-from pointmatch.types import Assignment, BoolMatrix, CostMatrix
+from pointmatch.types import Assignment, CostMatrix
 
 # factorial enumeration bound for brute_force_min_cost
 MAX_BRUTE_MIN_SIDE = 8
@@ -59,15 +59,15 @@ def brute_force_min_cost(costs: CostMatrix) -> Assignment:
     return _finish(pairs, n_rows, n_cols)
 
 
-def brute_force_max_matching(adjacency: BoolMatrix) -> Assignment:
-    """Oracle: exhaustive search for a maximum matching. Rejects instances
-    with rows + cols > 16."""
-    n_rows, n_cols = adjacency.rows, adjacency.cols
+def brute_force_max_matching(adjacency: np.ndarray) -> Assignment:
+    """Oracle: exhaustive search for a maximum matching of a 2-D boolean
+    adjacency array. Rejects instances with rows + cols > 16."""
+    n_rows, n_cols = adjacency.shape
     if n_rows + n_cols > MAX_BRUTE_NODES:
         raise ValueError(
             f"brute force bound exceeded: {n_rows}+{n_cols} nodes > {MAX_BRUTE_NODES}"
         )
-    adj = [np.flatnonzero(adjacency.values[r]).tolist() for r in range(n_rows)]
+    adj = [np.flatnonzero(adjacency[r]).tolist() for r in range(n_rows)]
     memo = {}
 
     def best_size(i, mask):

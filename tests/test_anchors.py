@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointmatch.anchors import GridSpec, apply_offsets, make_grid, threshold_predictions
-from pointmatch.types import PredictedPoint
+from pointmatch.anchors import GridSpec, apply_offsets, make_grid
 
 
 class TestMakeGrid:
@@ -54,28 +53,6 @@ class TestApplyOffsets:
             apply_offsets(anchors, [(0, 0)], [(0.5, 0.5)] * 4)
 
 
-class TestThresholdPredictions:
-    def test_background_argmax_dropped(self):
-        p = PredictedPoint(1, 1, (0.9, 0.1))
-        assert threshold_predictions([p], [0.5]) == []
-
-    def test_above_threshold_emitted(self):
-        p = PredictedPoint(1, 1, (0.05, 0.95))
-        out = threshold_predictions([p], [0.9])
-        assert len(out) == 1
-        point, conf = out[0]
-        assert point.class_id == 1 and conf == 0.95
-
-    def test_boundary_is_strict(self):
-        p = PredictedPoint(1, 1, (0.05, 0.90))
-        assert threshold_predictions([p], [0.9]) == []
-
-    def test_multiclass_argmax(self):
-        p = PredictedPoint(1, 1, (0.1, 0.3, 0.6))
-        out = threshold_predictions([p], [0.5, 0.5])
-        assert out[0][0].class_id == 2
-
-
 grid_specs = st.builds(
     GridSpec,
     st.integers(1, 5),
@@ -94,30 +71,3 @@ def test_grid_count_and_bounds(spec):
     for x, y in anchors.positions:
         assert 0 < x < spec.feature_width * spec.stride
         assert 0 < y < spec.feature_height * spec.stride
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
-            lambda t: PredictedPoint(0, 0, (min(t) * 0.5, max(0.5, max(t))))
-        ),
-        max_size=20,
-    ),
-    st.floats(0, 1),
-    st.floats(0, 1),
-)
-def test_threshold_monotone(points, t1, t2):
-    lo, hi = sorted([t1, t2])
-    assert len(threshold_predictions(points, [hi])) <= len(
-        threshold_predictions(points, [lo])
-    )
-
-
-def test_zero_threshold_foreground_dominant_is_bijection():
-    anchors = make_grid(GridSpec(3, 3, 4, (2, 2)))
-    m = len(anchors.positions)
-    preds = apply_offsets(anchors, [(0.25, -0.25)] * m, [(0.0, 1.0)] * m)
-    out = threshold_predictions(preds, [0.0])
-    assert len(out) == m
-    assert [(p.x, p.y) for p, _ in out] == [(p.x, p.y) for p in preds]

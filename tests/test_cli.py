@@ -874,3 +874,27 @@ def test_empty_class_name_exits_3(tmp_path, capsys, classes):
         assert run(capsys, command, str(gt), str(pred), "--classes", classes) == (
             3, "", f"error: --classes holds an empty name: {classes!r}\n"
         )
+
+
+@pytest.mark.parametrize("route", ["class-name", "image-id"])
+def test_unencodable_report_leaves_output_untouched(figure3_files, tmp_path, capsys, route):
+    # argv decodes a byte that is not UTF-8 to a lone surrogate, and a JSON
+    # file may escape one: a table or CSV report cannot encode it, a JSON
+    # report escapes it
+    if route == "class-name":
+        argv, value = ["evaluate", *figure3_files, "--classes", "\udcff"], "\udcff"
+        line, fmt = "1,\udcff,1,1,1,0.5000", "csv"
+    else:
+        gt, pred, value = tmp_path / "gt.json", tmp_path / "pred.json", "b\ud800"
+        gt.write_text('[{"image_id": "b\\ud800", "x": 0, "y": 0, "class_id": 1}]')
+        pred.write_text('[{"image_id": "b\\ud800", "x": 1, "y": 0, "class_id": 1, '
+                        '"confidences": [0.1, 0.9]}]')
+        argv, line, fmt = ["match", str(gt), str(pred)], "image b\ud800:", "table"
+    output = tmp_path / "report.txt"
+    output.write_bytes(b"an earlier report\n")
+    assert run(capsys, *argv, "--format", fmt, "--output", str(output)) == (
+        3, "", f"error: the report cannot be encoded as UTF-8: {line!r}\n"
+    )
+    assert output.read_bytes() == b"an earlier report\n"
+    assert run(capsys, *argv, "--format", "json", "--output", str(output))[0] == 0
+    assert json.dumps(value) in output.read_text(encoding="ascii")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from _oracle import brute_force_max_matching, brute_force_min_cost
 from pointmatch.cli import main
 from pointmatch.pointfile import PointRecord, write_point_file
-from pointmatch.types import BoolMatrix, CostMatrix, distance_matrix
+from pointmatch.types import CostMatrix, distance_matrix
 
 RADIUS = 2.0
 # A coarse integer grid. Squared distances are integers, so a distance lies
@@ -43,7 +43,7 @@ def _oracle_counts(gt_xy, pred_xy):
     n, m = len(gt_xy), len(pred_xy)
     dist = distance_matrix(np.reshape(gt_xy, (-1, 2)), np.reshape(pred_xy, (-1, 2)))
     within = dist <= RADIUS
-    matched = brute_force_max_matching(BoolMatrix(within)).size
+    matched = len(brute_force_max_matching(within).pairs)
     raw = sum(1 for r, c in brute_force_min_cost(CostMatrix(dist)).pairs if within[r, c])
     greedy_tp = int(within.any(axis=0).sum())
     greedy_fn = n - int(within.any(axis=1).sum())

@@ -19,16 +19,21 @@ from pointmatch.evaluation import (
     compare_protocols,
     evaluate_dataset,
     f1_from_counts,
-    match_greedy,
-    match_raw_hungarian,
-    match_thresholded,
 )
 from pointmatch.synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
-from pointmatch.types import BoolMatrix, CostMatrix, LabeledPoint, PointSet, PredictedPoint
+from pointmatch.types import CostMatrix, LabeledPoint, PointSet, PredictedPoint
+
+MATCHED, RAW, GREEDY = Protocol.MATCHED, Protocol.RAW_HUNGARIAN, Protocol.GREEDY
 
 
 def pt(x, y, cls=1):
     return LabeledPoint(x=x, y=y, class_id=cls)
+
+
+def image_counts(gts, preds, radius, protocol, class_ids=(1,)):
+    """The counts of each class of one image, scored as a one-image dataset."""
+    config = EvalConfig(radius=radius, protocol=protocol, class_ids=class_ids)
+    return {c.class_id: c for c, _ in evaluate_dataset({"": gts}, {"": preds}, config).per_class}
 
 
 def dense_counts(gt_by_image, pred_by_image, radius, class_ids, protocols):
@@ -66,64 +71,73 @@ class TestF1FromCounts:
 
 
 class TestMatchThresholded:
+    """The corrected protocol: distances thresholded at the radius, then
+    matched."""
+
     def test_one_in_one_out_of_radius(self):
-        counts = match_thresholded([pt(0, 0)], [pt(3, 0), pt(-8, 0)], 6.0)[1]
+        counts = image_counts([pt(0, 0)], [pt(3, 0), pt(-8, 0)], 6.0, MATCHED)[1]
         assert (counts.tp, counts.fp, counts.fn) == (1, 1, 0)
 
     def test_no_predictions(self):
-        counts = match_thresholded([pt(0, 0), pt(1, 1), pt(2, 2)], [], 6.0)[1]
+        counts = image_counts([pt(0, 0), pt(1, 1), pt(2, 2)], [], 6.0, MATCHED)[1]
         assert (counts.tp, counts.fp, counts.fn) == (0, 0, 3)
 
     def test_radius_boundary_inclusive(self):
-        counts = match_thresholded([pt(0, 0)], [pt(6, 0)], 6.0)[1]
+        counts = image_counts([pt(0, 0)], [pt(6, 0)], 6.0, MATCHED)[1]
         assert counts.tp == 1
 
     def test_classes_matched_independently(self):
         gts = [pt(0, 0, 1), pt(0, 0, 2)]
         preds = [pt(1, 0, 2), pt(0, 1, 2)]
-        counts = match_thresholded(gts, preds, 6.0)
+        counts = image_counts(gts, preds, 6.0, MATCHED, (1, 2))
         assert (counts[1].tp, counts[1].fn) == (0, 1)
         assert (counts[2].tp, counts[2].fp) == (1, 1)
 
 
 class TestMatchRawHungarian:
+    """The flawed protocol that solves a min-cost assignment on the raw
+    distances and filters by the radius afterwards."""
+
     def test_figure3_geometry(self):
         gts, preds = figure3_fixture()
-        raw = match_raw_hungarian(gts, preds, 6.0)[1]
+        raw = image_counts(gts, preds, 6.0, RAW)[1]
         assert (raw.tp, raw.fp, raw.fn) == (0, 2, 2)
         assert f1_from_counts(raw) == 0.0
-        good = match_thresholded(gts, preds, 6.0)[1]
+        good = image_counts(gts, preds, 6.0, MATCHED)[1]
         assert (good.tp, good.fp, good.fn) == (1, 1, 1)
         assert f1_from_counts(good) == 0.5
 
     def test_single_pair_agrees_with_corrected(self):
         gts, preds = [pt(0, 0)], [pt(2, 0)]
-        assert match_raw_hungarian(gts, preds, 6.0) == match_thresholded(gts, preds, 6.0)
+        assert image_counts(gts, preds, 6.0, RAW) == image_counts(gts, preds, 6.0, MATCHED)
 
     def test_no_predictions(self):
-        counts = match_raw_hungarian([pt(0, 0)], [], 6.0)[1]
+        counts = image_counts([pt(0, 0)], [], 6.0, RAW)[1]
         assert (counts.tp, counts.fn) == (0, 1)
 
 
 class TestMatchGreedy:
+    """The flawed one-to-many protocol: every prediction within the radius
+    of a ground truth is a true positive."""
+
     def test_double_detection_inflates(self):
         gts = [pt(0, 0)]
         preds = [pt(1, 0), pt(0, 1)]
-        greedy = match_greedy(gts, preds, 6.0)[1]
+        greedy = image_counts(gts, preds, 6.0, GREEDY)[1]
         assert (greedy.tp, greedy.fp, greedy.fn) == (2, 0, 0)
         assert f1_from_counts(greedy) == 1.0
-        good = match_thresholded(gts, preds, 6.0)[1]
+        good = image_counts(gts, preds, 6.0, MATCHED)[1]
         assert (good.tp, good.fp, good.fn) == (1, 1, 0)
         assert f1_from_counts(good) == pytest.approx(2 / 3)
 
     def test_no_predictions(self):
-        counts = match_greedy([pt(0, 0)], [], 6.0)[1]
+        counts = image_counts([pt(0, 0)], [], 6.0, GREEDY)[1]
         assert (counts.tp, counts.fn) == (0, 1)
 
     def test_one_to_one_geometry_agrees(self):
         gts = [pt(0, 0), pt(50, 50)]
         preds = [pt(1, 0), pt(50, 51)]
-        assert match_greedy(gts, preds, 6.0) == match_thresholded(gts, preds, 6.0)
+        assert image_counts(gts, preds, 6.0, GREEDY) == image_counts(gts, preds, 6.0, MATCHED)
 
 
 def random_points(rng, n, num_classes=2, extent=100.0):
@@ -140,9 +154,8 @@ class TestProtocolProperties:
             gts = random_points(rng, rng.randint(0, 15))
             preds = random_points(rng, rng.randint(0, 15))
             classes = (1, 2)
-            good = match_thresholded(gts, preds, 8.0, classes)
-            raw = match_raw_hungarian(gts, preds, 8.0, classes)
-            greedy = match_greedy(gts, preds, 8.0, classes)
+            good, raw, greedy = (image_counts(gts, preds, 8.0, p, classes)
+                                 for p in (MATCHED, RAW, GREEDY))
             for cls in classes:
                 n_c = sum(1 for p in gts if p.class_id == cls)
                 m_c = sum(1 for p in preds if p.class_id == cls)
@@ -164,7 +177,7 @@ class TestProtocolProperties:
         rng = random.Random(7)
         gts = random_points(rng, 12)
         preds = random_points(rng, 14)
-        base = match_thresholded(gts, preds, 6.0, (1, 2))
+        base = image_counts(gts, preds, 6.0, MATCHED, (1, 2))
 
         theta = 0.7
         c, s = math.cos(theta), math.sin(theta)
@@ -173,7 +186,8 @@ class TestProtocolProperties:
             x, y = p.x + 13.5, p.y - 4.25
             return pt(c * x - s * y, s * x + c * y, p.class_id)
 
-        moved = match_thresholded([move(p) for p in gts], [move(p) for p in preds], 6.0, (1, 2))
+        moved = image_counts([move(p) for p in gts], [move(p) for p in preds], 6.0, MATCHED,
+                             (1, 2))
         for cls in (1, 2):
             assert (moved[cls].tp, moved[cls].fp, moved[cls].fn) == (
                 base[cls].tp, base[cls].fp, base[cls].fn,
@@ -181,7 +195,7 @@ class TestProtocolProperties:
 
         rng.shuffle(gts)
         rng.shuffle(preds)
-        shuffled = match_thresholded(gts, preds, 6.0, (1, 2))
+        shuffled = image_counts(gts, preds, 6.0, MATCHED, (1, 2))
         assert shuffled == base
 
     def test_thresholded_tp_agrees_with_brute_force(self):
@@ -189,13 +203,12 @@ class TestProtocolProperties:
         for _ in range(100):
             gts = random_points(rng, rng.randint(0, 7), num_classes=1, extent=30)
             preds = random_points(rng, rng.randint(0, 7), num_classes=1, extent=30)
-            counts = match_thresholded(gts, preds, 6.0, (1,))[1]
+            counts = image_counts(gts, preds, 6.0, MATCHED)[1]
             adjacency = np.array(
                 [[math.hypot(g.x - p.x, g.y - p.y) <= 6.0 for p in preds] for g in gts],
                 dtype=bool,
             ).reshape(len(gts), len(preds))
-            oracle = brute_force_max_matching(BoolMatrix(adjacency))
-            assert counts.tp == oracle.size
+            assert counts.tp == len(brute_force_max_matching(adjacency).pairs)
 
 
 class TestEvaluateDataset:
@@ -387,20 +400,15 @@ class TestRawHungarianBatches:
         self._assert_within_budget(batches, 3, 81)
         monkeypatch.undo()
 
-        single = {
-            Protocol.MATCHED: match_thresholded,
-            Protocol.RAW_HUNGARIAN: match_raw_hungarian,
-            Protocol.GREEDY: match_greedy,
-        }
         totals = {cls: np.zeros(3, dtype=int) for cls in (1, 2)}
-        for protocol, match in single.items():
+        for protocol in Protocol:
             assert counts[protocol].shape == (len(images), 2, 3)
             for i, image_id in enumerate(images):
                 for j, cls in enumerate((1, 2)):
                     # one class per call: a single cell, scored on its own
-                    alone = match(
+                    alone = image_counts(
                         gt_by_image.get(image_id, []), pred_by_image.get(image_id, []),
-                        6.0, (cls,),
+                        6.0, protocol, (cls,),
                     )[cls]
                     assert ClassCounts(cls, *counts[protocol][i, j].tolist()) == alone
                     if protocol is Protocol.RAW_HUNGARIAN:
@@ -461,16 +469,11 @@ class TestRawHungarianBatches:
         assert in_image_order != sorted(in_image_order)
         assert shapes == sorted(s for s in in_image_order if s[0] > 0) * 8
 
-        single = {
-            Protocol.MATCHED: match_thresholded,
-            Protocol.RAW_HUNGARIAN: match_raw_hungarian,
-            Protocol.GREEDY: match_greedy,
-        }
-        for protocol, match in single.items():
+        for protocol in Protocol:
             alone = np.array([
                 [
-                    [getattr(match(gt_by_image.get(i, []), pred_by_image.get(i, []), 6.0,
-                                   (cls,))[cls], f) for f in ("tp", "fp", "fn")]
+                    image_counts(gt_by_image.get(i, []), pred_by_image.get(i, []), 6.0, protocol,
+                                 (cls,))[cls][1:]
                     for cls in classes
                 ]
                 for i in images
@@ -522,19 +525,14 @@ def test_sparse_classes_score_only_cells_with_a_pair(monkeypatch):
     # scoring a cell without a pair gives what skipping it gives
     empty = scored([(np.zeros((0, 2)), np.ones((2, 2)))], 6.0, tuple(Protocol))
     assert all(c.tolist() == [[0, 2, 0]] for c in empty.values())
-    single = {
-        Protocol.MATCHED: match_thresholded,
-        Protocol.RAW_HUNGARIAN: match_raw_hungarian,
-        Protocol.GREEDY: match_greedy,
-    }
-    for protocol, match in single.items():
+    for protocol in Protocol:
         expected = np.zeros((len(images), len(classes), 3), dtype=np.int64)
         for i, image_id in enumerate(images):
             (g,), (p,) = gt_by_image[image_id], pred_by_image[image_id]
             expected[i, p.class_id - 1, 1] += 1
             expected[i, g.class_id - 1, 2] += 1
             if g.class_id == p.class_id:
-                alone = match([g], [p], 6.0, (g.class_id,))[g.class_id]
+                alone = image_counts([g], [p], 6.0, protocol, (g.class_id,))[g.class_id]
                 expected[i, g.class_id - 1] = (alone.tp, alone.fp, alone.fn)
         np.testing.assert_array_equal(counts[protocol], expected)
         assert counts[protocol][..., 0].sum() > 0
@@ -588,25 +586,10 @@ def test_one_large_cell_does_not_pad_the_small_ones():
         assert counts[k, 0].tolist() == [tp, len(preds) - tp, len(gts) - tp]
 
 
-@pytest.mark.parametrize("match", [match_thresholded, match_raw_hungarian, match_greedy])
-def test_repeated_class_ids_count_each_class_once(match):
-    gts = [pt(0, 0, 1), pt(20, 0, 1), pt(5, 5, 2)]
-    preds = [pt(1, 0, 1), pt(5, 6, 2), pt(40, 40, 2)]
-    assert match(gts, preds, 6.0, (1, 1)) == match(gts, preds, 6.0, (1,)) == {
-        1: ClassCounts(1, 1, 0, 1)
-    }
-    assert match(gts, preds, 6.0, (2, 1, 2, 1)) == match(gts, preds, 6.0, (2, 1))
-    assert list(match(gts, preds, 6.0, (2, 1, 2, 1))) == [2, 1]
-    assert match(gts, preds, 6.0, (2, 1))[2] == ClassCounts(2, 1, 1, 0)
-
-
 def test_config_validation():
     for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             EvalConfig(radius=radius)
-        for match in (match_thresholded, match_raw_hungarian, match_greedy):
-            with pytest.raises(ValueError, match="radius must be positive and finite"):
-                match([pt(0, 0)], [pt(0, 0)], radius)
     with pytest.raises(ValueError):
         EvalConfig(class_ids=())
     with pytest.raises(ValueError):
@@ -636,8 +619,8 @@ def test_point_sets_refuse_what_files_refuse(bad, side):
     outside = PointSet(np.array([[0.0, 0.0], [bad, 1.0]]), np.array([1, 1]))
     gts, preds = (outside, good) if side == "gt" else (good, outside)
     message = "coordinates must be finite and at most 1e\\+100 in absolute value"
-    for match in (match_thresholded, match_raw_hungarian, match_greedy):
+    for protocol in Protocol:
         with pytest.raises(ValueError, match=message):
-            match(gts, preds, 6.0)
+            evaluate_dataset({"im": gts}, {"im": preds}, EvalConfig(protocol=protocol))
     with pytest.raises(ValueError, match=message):
         compare_protocols({"im": gts}, {"im": preds}, 6.0, (1,))

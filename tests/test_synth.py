@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pointmatch.evaluation import EvalConfig, evaluate_dataset, f1_from_counts, match_thresholded
+from pointmatch.evaluation import EvalConfig, Protocol, compare_protocols, evaluate_dataset
 from pointmatch.synth import PerturbationModel, figure3_fixture, gen_ground_truth, perturb
 
 
@@ -102,12 +102,9 @@ class TestFigure3Fixture:
         assert all(p.class_id == 1 for p in gts + preds)
 
     def test_strict_protocol_gap(self):
-        from pointmatch.evaluation import match_raw_hungarian
-
         gts, preds = figure3_fixture()
-        good = f1_from_counts(match_thresholded(gts, preds, 6.0)[1])
-        raw = f1_from_counts(match_raw_hungarian(gts, preds, 6.0)[1])
-        assert good > raw
+        f1 = {r.protocol: r.macro_f1 for r in compare_protocols({"": gts}, {"": preds}, 6.0, (1,))}
+        assert f1[Protocol.MATCHED] > f1[Protocol.RAW_HUNGARIAN]
 
 
 def test_seed_outside_one_philox_word_refused():
