@@ -115,16 +115,12 @@ def _parse_classes(args) -> tuple[tuple[int, ...] | None, dict[int, str]]:
 
 def _load_eval_inputs(args):
     """The ``--aggregate`` and the checked ``--radius`` of ``evaluate`` and
-    ``compare``, then their inputs: the two tables, points by image, class
-    ids and names."""
+    ``compare``, then their inputs: the two tables, class ids and names."""
     from . import evaluation
 
     aggregate = Aggregate(args.aggregate.replace("-", "_"))
     evaluation.EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
-    gt_table = pointfile.read_point_file(args.gt)
-    pred_table = pointfile.read_point_file(args.pred)
-    gt_by_image = pointfile.group_labeled(gt_table)
-    pred_by_image = pointfile.group_labeled(pred_table)
+    gt_table, pred_table = map(pointfile.read_point_file, (args.gt, args.pred))
     class_ids, names = _parse_classes(args)
     observed = set(np.union1d(gt_table.cls, pred_table.cls).tolist())
     if class_ids is None:
@@ -136,7 +132,7 @@ def _load_eval_inputs(args):
                 f"unknown class_id(s) in input files: {sorted(unknown)}"
             )
     names = {c: names.get(c, str(c)) for c in class_ids}
-    return aggregate, (gt_table, pred_table), gt_by_image, pred_by_image, class_ids, names
+    return aggregate, (gt_table, pred_table), class_ids, names
 
 
 def _write_report(args, tables, config: dict, payload: dict, render) -> int:
@@ -169,7 +165,10 @@ def _write_report(args, tables, config: dict, payload: dict, render) -> int:
     if args.output:
         with open(args.output, "wb") as f:
             f.write(data)
-    else:
+    elif hasattr(sys.stdout, "buffer"):  # the bytes of --output, whatever stdout's codec
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text stream without bytes, such as io.StringIO
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -178,11 +177,11 @@ def cmd_evaluate(args) -> int:
     from . import evaluation
 
     protocol = Protocol(args.protocol.replace("-", "_"))
-    aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
+    aggregate, tables, class_ids, names = _load_eval_inputs(args)
     config = evaluation.EvalConfig(
         radius=args.radius, protocol=protocol, class_ids=class_ids, aggregate=aggregate
     )
-    report = evaluation.evaluate_dataset(gt_by_image, pred_by_image, config)
+    report = evaluation.evaluate_dataset(*tables, config)
     per_class = [
         {"class_id": c.class_id, "class": names[c.class_id],
          "tp": c.tp, "fp": c.fp, "fn": c.fn, "f1": f1}
@@ -219,10 +218,8 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     from . import evaluation
 
-    aggregate, tables, gt_by_image, pred_by_image, class_ids, names = _load_eval_inputs(args)
-    rows = evaluation.compare_protocols(
-        gt_by_image, pred_by_image, args.radius, class_ids, aggregate
-    )
+    aggregate, tables, class_ids, names = _load_eval_inputs(args)
+    rows = evaluation.compare_protocols(*tables, args.radius, class_ids, aggregate)
     table = [
         {
             "protocol": row.protocol.value,
@@ -267,28 +264,8 @@ def cmd_match(args) -> int:
         reg_weight=args.lambda_reg,
         one2many_weight=args.lambda_one2many,
     )
-    gt_table = pointfile.read_point_file(args.gt)
-    pred_table = pointfile.read_point_file(args.pred)
-    vectors = pred_table.confidences
-    if vectors is not None:
-        width = vectors.shape[1] - 1
-        for side, table in (("ground-truth", gt_table), ("prediction", pred_table)):
-            if (table.cls > width).any():  # a vector's own class is checked on reading
-                i = int(np.argmax(table.cls > width))
-                raise PointFileError(f"image {table.image_id[i]}: {side} class {table.cls[i]} is "
-                                     f"outside the prediction vectors' classes 1..{width}")
-    # only the classes that occur need a column and all foreground weights are
-    # equal, so numbering them 1..K and keeping only their vector columns changes
-    # no cost or loss; return_index takes the stable sort matching already runs
-    occurring, _, cls = np.unique(np.concatenate([gt_table.cls, pred_table.cls]),
-                                  return_index=True, return_inverse=True)
-    gt_table = gt_table._replace(cls=cls[: len(gt_table)] + 1)
-    pred_table = pred_table._replace(
-        cls=cls[len(gt_table) :] + 1,
-        confidences=None if vectors is None else vectors[:, [0, *occurring]])
-    num_classes = max(len(occurring), 1)
-    gt_by_image = pointfile.group_labeled(gt_table)
-    pred_by_image = pointfile.group_predicted(pred_table, num_classes)
+    tables = tuple(map(pointfile.read_point_file, (args.gt, args.pred)))
+    num_classes, gt_by_image, pred_by_image = pointfile.match_inputs(*tables)
     config = config._replace(class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
 
     images, notes = [], []
@@ -344,7 +321,7 @@ def cmd_match(args) -> int:
 
     code = _write_report(
         args,
-        (gt_table, pred_table),
+        tables,
         {"tau": args.tau, "beta": args.beta, "lambda_bg": args.lambda_bg,
          "lambda_fg": args.lambda_fg, "lambda_reg": args.lambda_reg,
          "lambda_one2many": args.lambda_one2many},

@@ -3,7 +3,7 @@ and the two flawed protocols it supersedes (raw-distance Hungarian and
 greedy one-to-many), with per-class and macro F1 reporting.
 
 Matching is computed independently per class: a prediction can only ever
-match a ground truth of the same class. Images are ``PointSet`` columns and
+match a ground truth of the same class. Each side is one set of columns and
 evaluation is a stream of the (image, class) cells that hold a point. A
 size pass refuses a dataset with a cell of more than ``CELL_DISTANCES``
 distances. A cell of n ground truths and m predictions without a pair
@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .assignment import block_batches, max_matching_edges, min_cost_block, stack_padded
+from .pointfile import PointTable
 from .types import (_COORD_ERROR, _MAX_COORD, CELL_DISTANCES, Aggregate, Points, Protocol,
                     _Frozen, as_point_set, distance_matrix)
 
@@ -121,32 +122,42 @@ def score_cells(cells, radius: float, protocols: Sequence[Protocol]) -> dict[Pro
     return {p: np.stack([tp[p], m - tp[p], fn.get(p, n - tp[p])], axis=1) for p in protocols}
 
 
-def _evaluate(gt_by_image, pred_by_image, radius, class_ids, protocols):
+def _columns(points) -> tuple:
+    """(image ids, each point's index into them, xy, cls) of a PointTable,
+    or of a dict of points by image."""
+    if isinstance(points, PointTable):
+        return points.image_ids, points.image, points.xy, points.cls
+    sets = [as_point_set(p) for p in points.values()]
+    return (list(points), np.repeat(np.arange(len(sets)), list(map(len, sets))),
+            np.concatenate([np.empty((0, 2)), *(s.xy for s in sets)]),
+            np.concatenate([np.empty(0, np.int64), *(s.cls for s in sets)]))
+
+
+def _evaluate(gt, pred, radius, class_ids, protocols):
     """The number of images, the sorted keys (image * classes + class index,
     images in sorted order) of the cells holding a point, and each protocol's
     (cells, 3) TP, FP and FN of them: memory grows with points. A cell
     without a pair counts (0, m, n) and is not scored; the others go to
     ``block_batches`` in ascending order of their sorted sides (a stable
     sort), so a batch holds cells of similar shape and pads few distances."""
-    images = sorted(set(gt_by_image) | set(pred_by_image))
+    gt, pred = _columns(gt), _columns(pred)
+    images = sorted(set(gt[0]) | set(pred[0]))
+    rank = {image_id: r for r, image_id in enumerate(images)}
     ids = np.asarray(class_ids)
     sorter = np.argsort(ids)
 
-    def by_cell(by_image):
+    def by_cell(image_ids, image, xy, cls):
         # the points of the classes evaluated, keyed by cell and sorted by
         # key, stably, so each cell keeps file order
-        sets = [as_point_set(by_image.get(i, ())) for i in images]
-        xy = np.concatenate([np.empty((0, 2)), *(s.xy for s in sets)])
         if not (np.abs(xy) <= _MAX_COORD).all():  # NaN fails too
             raise ValueError(_COORD_ERROR)
-        cls = np.concatenate([np.empty(0, np.int64), *(s.cls for s in sets)])
         hit = np.isin(cls, ids)
-        image = np.repeat(np.arange(len(images)), list(map(len, sets)))[hit]
+        image = np.fromiter(map(rank.__getitem__, image_ids), np.intp, len(image_ids))[image[hit]]
         key = image * len(ids) + sorter[np.searchsorted(ids, cls[hit], sorter=sorter)]
         order = np.argsort(key, kind="stable")
         return key[order], xy[np.flatnonzero(hit)[order]]
 
-    (gk, gxy), (pk, pxy) = by_cell(gt_by_image), by_cell(pred_by_image)
+    (gk, gxy), (pk, pxy) = by_cell(*gt), by_cell(*pred)
     keys = np.union1d(gk, pk)
     glo, ghi, plo, phi = (np.searchsorted(k, keys, s) for k in (gk, pk) for s in ("left", "right"))
     n, m = ghi - glo, phi - plo
@@ -194,11 +205,12 @@ def _report(protocol: Protocol, images: int, keys, counts, config: EvalConfig) -
 
 
 def evaluate_dataset(
-    gt_by_image: dict[str, Points],
-    pred_by_image: dict[str, Points],
+    gt_by_image: dict[str, Points] | PointTable,
+    pred_by_image: dict[str, Points] | PointTable,
     config: EvalConfig,
 ) -> EvalReport:
-    """Run the configured protocol over every image and aggregate.
+    """Run the configured protocol over every image and aggregate. Each
+    side is a dict of points by image or a ``PointTable``.
 
     Images missing from the prediction side count as empty predictions;
     prediction-only images contribute pure false positives. Under
@@ -225,8 +237,8 @@ def _delta_pct(value: float, reference: float) -> float:
 
 
 def compare_protocols(
-    gt_by_image: dict[str, Points],
-    pred_by_image: dict[str, Points],
+    gt_by_image: dict[str, Points] | PointTable,
+    pred_by_image: dict[str, Points] | PointTable,
     radius: float,
     class_ids: tuple[int, ...],
     aggregate: Aggregate = Aggregate.DATASET_COUNTS,

@@ -52,20 +52,21 @@ class PointRecord(NamedTuple):
 class PointTable(_Frozen, Sequence):
     """The records of one point file as numpy columns, in file order.
 
-    ``confidence`` (n,) is NaN where a record has no confidence, and the
-    rows of ``confidences`` (n, T+1) are NaN where a record has no vector;
-    a column is None when no record has one. ``digest`` is the sha256 of
-    the bytes the table was parsed from. As a sequence the table yields
-    ``PointRecord``s, so it compares equal to the records it was written
-    from.
+    ``image_ids`` holds each image id once, in order of first appearance,
+    and ``image`` (n,) each record's index into it. ``confidence`` (n,) is
+    NaN where a record has no confidence, and the rows of ``confidences``
+    (n, T+1) are NaN where a record has no vector; a column is None when no
+    record has one. ``digest`` is the sha256 of the bytes the table was
+    parsed from. As a sequence the table yields ``PointRecord``s, so it
+    compares equal to the records it was written from.
     """
 
-    __slots__ = ("image_id", "xy", "cls", "confidence", "confidences", "digest")
+    __slots__ = ("image_ids", "image", "xy", "cls", "confidence", "confidences", "digest")
 
-    def __init__(self, image_id: Sequence[str], xy: np.ndarray, cls: np.ndarray,
-                 confidence: np.ndarray | None = None, confidences: np.ndarray | None = None,
-                 digest: str | None = None):
-        self._set(image_id, xy, cls, confidence, confidences, digest)
+    def __init__(self, image_ids: Sequence[str], image: np.ndarray, xy: np.ndarray,
+                 cls: np.ndarray, confidence: np.ndarray | None = None,
+                 confidences: np.ndarray | None = None, digest: str | None = None):
+        self._set(image_ids, image, xy, cls, confidence, confidences, digest)
 
     def __len__(self) -> int:
         return len(self.cls)
@@ -75,7 +76,7 @@ class PointTable(_Frozen, Sequence):
         conf = None if self.confidence is None else float(self.confidence[i])
         vector = None if self.confidences is None else self.confidences[i]
         return PointRecord(
-            self.image_id[i], x, y, int(self.cls[i]),
+            self.image_ids[self.image[i]], x, y, int(self.cls[i]),
             None if conf is None or math.isnan(conf) else conf,
             None if vector is None or np.isnan(vector).all() else tuple(vector.tolist()),
         )
@@ -124,7 +125,8 @@ def _column(cells, dtype) -> np.ndarray:
 def _table(image_id, xy, cls, confidence=None, confidences=None,
            no_confidence=None, no_vector=None) -> PointTable:
     """Validate the columns, then mark with NaN the records that have no
-    confidence or no vector, whose cells hold zero placeholders until then."""
+    confidence or no vector, whose cells hold zero placeholders until then,
+    and code each record's image id by its image's order of appearance."""
     checks = [
         (cls < 1, "class_id must be >= 1"),
         (~(np.abs(xy) <= _MAX_COORD).all(axis=1), _COORD_ERROR),
@@ -150,7 +152,9 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
             columns[i][missing] = np.nan
         if not len(cls) or missing is not None and missing.all():
             columns[i] = None  # no record fills the column, as in JSON
-    return PointTable(image_id, xy, cls, *columns)
+    index = {image_id: code for code, image_id in enumerate(dict.fromkeys(image_id))}
+    image = np.fromiter(map(index.__getitem__, image_id), dtype=np.intp, count=len(cls))
+    return PointTable(tuple(index), image, xy, cls, *columns)
 
 
 def _parse_csv(lines: io.TextIOBase) -> PointTable:
@@ -190,7 +194,7 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
     def from_columns(columns) -> PointTable:
         xy = np.stack([_column(columns[1], float), _column(columns[2], float)], axis=1)
         cls = _column(columns[3], np.int64)
-        image_id = tuple(columns[0])
+        image_id = columns[0]
         if not extra:
             return _table(image_id, xy, cls)
         cells = columns[4:]
@@ -379,53 +383,47 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
             (quoted if "\r" in r.image_id else writer).writerow(row)
 
 
-def _image_rows(table: PointTable):
-    """(image_id, row indices in file order) per image, in order of first
-    appearance, from one stable sort of the image codes."""
-    index = {image_id: code for code, image_id in enumerate(dict.fromkeys(table.image_id))}
-    codes = np.fromiter(map(index.__getitem__, table.image_id), dtype=np.intp, count=len(table))
-    order = np.argsort(codes, kind="stable")
-    return zip(index, np.split(order, np.cumsum(np.bincount(codes))[:-1]))
+def match_inputs(gt: PointTable, pred: PointTable) -> tuple[int, dict, dict]:
+    """The number of classes K of ``match`` and its ground-truth and
+    proposal PointSets by image, each proposal with its (bg, 1..K)
+    confidence matrix ``conf``.
 
-
-def group_labeled(table: PointTable) -> dict[str, PointSet]:
-    """Group a table by image into PointSets (confidences ignored)."""
-    return {
-        image_id: PointSet(table.xy[rows], table.cls[rows])
-        for image_id, rows in _image_rows(table)
-    }
-
-
-def group_predicted(table: PointTable, num_classes: int) -> dict[str, PointSet]:
-    """Group a table by image into proposal PointSets, each with its
-    (bg, 1..num_classes) confidence matrix ``conf``.
-
-    Records with full confidence vectors are taken as-is; records with a
-    single confidence c are treated as one-class predictions (bg = 1 - c);
-    records with no confidence get full confidence for their class.
+    Only the classes that occur need a column and all foreground weights
+    are equal, so numbering them 1..K and keeping only their vector columns
+    changes no cost or loss. Records with full confidence vectors are taken
+    as-is; records with a single confidence c are treated as one-class
+    predictions (bg = 1 - c); records with no confidence get full confidence
+    for their class.
     """
-    n = len(table)
-    vector = np.zeros(n, dtype=bool)
-    if table.confidences is not None:
-        vector = ~np.isnan(table.confidences).all(axis=1)
-        if table.confidences.shape[1] != num_classes + 1 and vector.any():
-            raise PointFileError(
-                f"record for image {table.image_id[int(np.argmax(vector))]}: expected "
-                f"{num_classes + 1} confidences, got {table.confidences.shape[1]}"
-            )
-    conf = np.zeros((n, num_classes + 1))
-    if vector.any():
-        conf[vector] = table.confidences[vector]
-    single = np.ones(n) if table.confidence is None else table.confidence
+    # return_index takes the stable sort matching already runs
+    occurring, _, cls = np.unique(np.concatenate([gt.cls, pred.cls]),
+                                  return_index=True, return_inverse=True)
+    k = max(len(occurring), 1)
+    gt_cls, pred_cls = cls[: len(gt)] + 1, cls[len(gt) :] + 1
+    conf = np.zeros((len(pred), k + 1))
+    vectors = pred.confidences
+    vector = np.zeros(len(pred), dtype=bool)  # the records with a vector
+    if vectors is not None:
+        width = vectors.shape[1] - 1
+        for side, table in (("ground-truth", gt), ("prediction", pred)):
+            if (table.cls > width).any():  # a vector's own class is checked on reading
+                i = int(np.argmax(table.cls > width))
+                raise PointFileError(f"image {table.image_ids[table.image[i]]}: {side} class "
+                                     f"{table.cls[i]} is outside the prediction vectors' "
+                                     f"classes 1..{width}")
+        vector = ~np.isnan(vectors).all(axis=1)
+        conf[vector] = vectors[np.ix_(vector, [0, *occurring])]
     plain = np.flatnonzero(~vector)
-    if (table.cls[plain] > num_classes).any():
-        i = plain[np.argmax(table.cls[plain] > num_classes)]
-        raise PointFileError(f"record for image {table.image_id[i]}: class {table.cls[i]} "
-                             f"is outside classes 1..{num_classes}")
-    level = np.where(np.isnan(single[plain]), 1.0, single[plain])
-    conf[plain, table.cls[plain]] = level
+    single = np.ones(len(plain)) if pred.confidence is None else pred.confidence[plain]
+    level = np.where(np.isnan(single), 1.0, single)
+    conf[plain, pred_cls[plain]] = level
     conf[plain, 0] = 1.0 - level
-    return {
-        image_id: PointSet(table.xy[rows], table.cls[rows], conf[rows])
-        for image_id, rows in _image_rows(table)
-    }
+
+    def by_image(table, cls, conf=None):
+        # one stable sort of the image codes keeps file order within an image
+        order = np.argsort(table.image, kind="stable")
+        rows = np.split(order, np.cumsum(np.bincount(table.image))[:-1])
+        return {image_id: PointSet(table.xy[r], cls[r], None if conf is None else conf[r])
+                for image_id, r in zip(table.image_ids, rows)}
+
+    return k, by_image(gt, gt_cls), by_image(pred, pred_cls, conf)

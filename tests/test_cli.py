@@ -44,6 +44,20 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def record_match_classes(monkeypatch) -> list:
+    """The number of classes each ``match`` run takes from its input files."""
+    widths = []
+    match_inputs = pointfile.match_inputs
+
+    def recording(gt, pred):
+        inputs = match_inputs(gt, pred)
+        widths.append(inputs[0])
+        return inputs
+
+    monkeypatch.setattr(pointfile, "match_inputs", recording)
+    return widths
+
+
 @pytest.fixture
 def figure3_files(tmp_path):
     gt = str(tmp_path / "gt.csv")
@@ -399,12 +413,7 @@ class TestMatch:
         }
 
     def test_confidence_width_ignores_largest_class_id(self, tmp_path, capsys, monkeypatch):
-        widths = []
-        group = pointfile.group_predicted
-        monkeypatch.setattr(
-            pointfile, "group_predicted",
-            lambda table, num_classes: widths.append(num_classes) or group(table, num_classes),
-        )
+        widths = record_match_classes(monkeypatch)
         reports = []
         for big in (2, 10**12):
             gt = tmp_path / f"gt{big}.csv"
@@ -815,12 +824,7 @@ def test_match_csv_and_json_copy_agree(tmp_path, capsys, gt_rows, pred_header, p
 
 
 def test_match_keeps_only_the_vector_columns_of_occurring_classes(tmp_path, capsys, monkeypatch):
-    widths = []
-    group = pointfile.group_predicted
-    monkeypatch.setattr(
-        pointfile, "group_predicted",
-        lambda table, num_classes: widths.append(num_classes) or group(table, num_classes),
-    )
+    widths = record_match_classes(monkeypatch)
     gt = tmp_path / "gt.csv"
     reports = []
     # the same detections with a column for an unused class 2, and without it
@@ -898,3 +902,22 @@ def test_unencodable_report_leaves_output_untouched(figure3_files, tmp_path, cap
     assert output.read_bytes() == b"an earlier report\n"
     assert run(capsys, *argv, "--format", "json", "--output", str(output))[0] == 0
     assert json.dumps(value) in output.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_stdout_gets_the_utf8_bytes_of_output_whatever_its_codec(figure3_files, tmp_path, fmt):
+    src = os.path.dirname(os.path.dirname(pointmatch.__file__))
+    argv = [sys.executable, "-m", "pointmatch.cli", "evaluate", *figure3_files,
+            "--classes", "\xe9", "--format", fmt]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+    output = tmp_path / "report.txt"
+    reports = []
+    for extra in ([], ["--output", str(output)]):
+        proc = subprocess.run(argv + extra, capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        data = output.read_bytes() if extra else proc.stdout
+        reports.append([line for line in data.splitlines() if b"timestamp" not in line])
+    assert reports[0] == reports[1]
+    # JSON escapes the name, table and CSV write its UTF-8 bytes
+    name = json.dumps("\xe9")[1:-1] if fmt == "json" else "\xe9"
+    assert name.encode("utf-8") in output.read_bytes()

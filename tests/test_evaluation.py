@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointmatch import assignment, evaluation
 from _oracle import brute_force_max_matching
 from pointmatch.assignment import solve_min_cost
+from pointmatch.pointfile import PointRecord, read_point_file, write_point_file
 from pointmatch.evaluation import (
     Aggregate,
     ClassCounts,
@@ -624,3 +625,40 @@ def test_point_sets_refuse_what_files_refuse(bad, side):
             evaluate_dataset({"im": gts}, {"im": preds}, EvalConfig(protocol=protocol))
     with pytest.raises(ValueError, match=message):
         compare_protocols({"im": gts}, {"im": preds}, 6.0, (1,))
+
+
+# records of a few images, drawn in no sorted order, on a coarse grid so that
+# pairs fall within the radius and ties occur; class 4 is outside CLASS_IDS
+_RECORDS = st.lists(st.tuples(st.sampled_from(["b", "a", "c10", "c9", "\xe9"]),
+                              st.integers(0, 12), st.integers(0, 12), st.integers(1, 4)),
+                    max_size=24)
+CLASS_IDS = (3, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gt=_RECORDS, pred=_RECORDS, ext=st.sampled_from(["csv", "json"]))
+@example(gt=[], pred=[], ext="csv")
+@example(gt=[("b", 0, 0, 1)], pred=[], ext="csv")
+def test_tables_score_as_dicts_of_their_records(table_dir, gt, pred, ext):
+    """``evaluate_dataset`` and ``compare_protocols`` give a file's table the
+    results they give a dict of its records by image."""
+    tables, dicts = [], []
+    for name, records in (("gt", gt), ("pred", pred)):
+        path = str(table_dir / f"{name}.{ext}")
+        write_point_file(path, [PointRecord(i, 2.5 * x, 2.5 * y, c) for i, x, y, c in records])
+        tables.append(read_point_file(path))
+        by_image = collections.defaultdict(list)
+        for i, x, y, c in records:
+            by_image[i].append(pt(2.5 * x, 2.5 * y, c))
+        dicts.append(dict(sorted(by_image.items(), reverse=True)))  # not the table's order
+    for aggregate in Aggregate:
+        for protocol in Protocol:
+            config = EvalConfig(6.0, protocol, CLASS_IDS, aggregate)
+            assert evaluate_dataset(*tables, config) == evaluate_dataset(*dicts, config)
+        assert (compare_protocols(*tables, 6.0, CLASS_IDS, aggregate)
+                == compare_protocols(*dicts, 6.0, CLASS_IDS, aggregate))

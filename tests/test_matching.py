@@ -18,7 +18,7 @@ from pointmatch.matching import (
     match_one_to_one,
     regression_loss,
 )
-from pointmatch.pointfile import PointRecord, group_predicted, read_point_file, write_point_file
+from pointmatch.pointfile import PointRecord, match_inputs, read_point_file, write_point_file
 from pointmatch.types import CostMatrix, LabeledPoint, PredictedPoint, as_point_set
 
 
@@ -82,10 +82,13 @@ def test_predicted_point_adapter_refuses_mixed_widths():
 @pytest.mark.filterwarnings("ignore:replicated targets")
 @pytest.mark.parametrize("num_classes", [1, 3])
 def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
-    """A PredictedPoint list and the PointSet that ``group_predicted`` reads
+    """A PredictedPoint list and the PointSet that ``match_inputs`` reads
     from the same records give the same costs, pairs, negatives and losses."""
     rng = random.Random(40 + num_classes)
     weights = default_class_weights(num_classes)
+    # every class occurs in another image, so match_inputs renumbers none
+    gt_path = str(tmp_path / "gt.csv")
+    write_point_file(gt_path, [PointRecord("other", 0, 0, c) for c in range(1, num_classes + 1)])
     for trial in range(12):
         m = rng.randint(1, 12)
         gts, preds = random_scene(rng, rng.randint(0, m), m, num_classes)
@@ -95,7 +98,9 @@ def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
                         confidences=p.confidences)
             for p in preds
         ])
-        columns = group_predicted(read_point_file(path), num_classes)["im"]
+        k, _, by_image = match_inputs(read_point_file(gt_path), read_point_file(path))
+        assert k == num_classes
+        columns = by_image["im"]
         adapted = as_point_set(preds)
         assert np.array_equal(adapted.xy, columns.xy) and np.array_equal(adapted.cls, columns.cls)
         assert np.array_equal(build_cost_matrix(gts, preds).values,

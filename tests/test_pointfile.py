@@ -13,8 +13,7 @@ from pointmatch.pointfile import (
     _COORD_ERROR,
     PointFileError,
     PointRecord,
-    group_labeled,
-    group_predicted,
+    match_inputs,
     read_point_file,
     write_point_file,
 )
@@ -148,30 +147,35 @@ class TestParseErrors:
 
 
 class TestGrouping:
+    """``match_inputs`` groups each table by image into PointSets."""
+
     def test_group_labeled(self, tmp_path):
         records = [
             PointRecord("a", 0, 0, 1),
             PointRecord("b", 1, 1, 2),
             PointRecord("a", 2, 2, 1),
         ]
-        groups = group_labeled(table(tmp_path, records))
+        _, groups, _ = match_inputs(table(tmp_path, records), table(tmp_path, []))
         assert set(groups) == {"a", "b"}
         assert len(groups["a"]) == 2
 
     def test_group_predicted_single_confidence(self, tmp_path):
+        gt = table(tmp_path, [PointRecord("a", 5, 5, 1)])
         records = [PointRecord("a", 0, 0, 2, confidence=0.8)]
-        groups = group_predicted(table(tmp_path, records), num_classes=2)
+        k, _, groups = match_inputs(gt, table(tmp_path, records))
+        assert k == 2
         assert groups["a"].conf[0].tolist() == [0.19999999999999996, 0.0, 0.8]
 
     def test_group_predicted_full_vector(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
-        groups = group_predicted(table(tmp_path, records), num_classes=1)
+        k, _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
+        assert k == 1
         assert groups["a"].conf[0].tolist() == [0.1, 0.9]
 
-    def test_group_predicted_wrong_vector_length(self, tmp_path):
-        records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
-        with pytest.raises(PointFileError):
-            group_predicted(table(tmp_path, records), num_classes=3)
+    def test_group_predicted_missing_confidence(self, tmp_path):
+        records = [PointRecord("a", 0, 0, 1, confidence=0.25), PointRecord("a", 1, 1, 1)]
+        _, _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
+        assert groups["a"].conf.tolist() == [[0.75, 0.25], [0.0, 1.0]]
 
 
 # Lines of CSV text without quotes or CR: every header schema, rows with
@@ -223,8 +227,8 @@ def _outcome(path):
         t = read_point_file(path)
     except PointFileError as exc:
         return str(exc)
-    arrays = [t.xy, t.cls, t.confidence, t.confidences]
-    return t.image_id, [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+    arrays = [t.image, t.xy, t.cls, t.confidence, t.confidences]
+    return t.image_ids, [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +259,7 @@ def test_parse_and_group_run_few_collections(tmp_path):
         PointRecord(f"img{i // 134:05d}", x, y, 1 + i % 3, confidence=c)
         for i, ((x, y), c) in enumerate(zip(xy, conf))
     ])
+    gt = table(tmp_path, [])
     runs = []
 
     def count(phase, info):
@@ -267,7 +272,7 @@ def test_parse_and_group_run_few_collections(tmp_path):
     gc.set_threshold(700, 10, 10)
     gc.callbacks.append(count)
     try:
-        groups = group_predicted(read_point_file(path), num_classes=3)
+        _, _, groups = match_inputs(gt, read_point_file(path))
     finally:
         gc.callbacks.remove(count)
         gc.set_threshold(*threshold)
@@ -276,7 +281,7 @@ def test_parse_and_group_run_few_collections(tmp_path):
 
 
 def _columns(t):
-    return (list(t.image_id), t.xy.tolist(), t.cls.tolist(),
+    return (list(t.image_ids), t.image.tolist(), t.xy.tolist(), t.cls.tolist(),
             *(None if c is None else c.tolist() for c in (t.confidence, t.confidences)))
 
 
@@ -370,14 +375,6 @@ def test_writer_refuses_records_its_reader_refuses(tmp_path, ext, kind):
     with pytest.raises(PointFileError) as read:
         read_point_file(str(by_hand))
     assert str(read.value) == f"record 0: {message}"
-
-
-def test_group_predicted_refuses_class_without_column(tmp_path):
-    records = [PointRecord("a", 0.0, 0.0, 1, confidence=0.5),
-               PointRecord("b", 0.0, 0.0, 3, confidence=0.8)]
-    with pytest.raises(PointFileError) as refused:
-        group_predicted(table(tmp_path, records), num_classes=2)
-    assert str(refused.value) == "record for image b: class 3 is outside classes 1..2"
 
 
 PLAIN_RECORDS = [

@@ -36,9 +36,10 @@ TYPES = {
                  (((0, 1),), (1,), (0,)), ((0, 2),)),
     PointRecord: ({"image_id": REQUIRED, "x": REQUIRED, "y": REQUIRED, "class_id": REQUIRED,
                    "confidence": None, "confidences": None}, ("a", 1.0, 2.0, 1, 0.5, None), "b"),
-    PointTable: ({"image_id": REQUIRED, "xy": REQUIRED, "cls": REQUIRED, "confidence": None,
-                  "confidences": None, "digest": None},
-                 (("a",), np.zeros((1, 2)), np.ones(1, dtype=np.int64), None, None, "d"), ("b",)),
+    PointTable: ({"image_ids": REQUIRED, "image": REQUIRED, "xy": REQUIRED, "cls": REQUIRED,
+                  "confidence": None, "confidences": None, "digest": None},
+                 (("a",), np.zeros(1, dtype=np.intp), np.zeros((1, 2)),
+                  np.ones(1, dtype=np.int64), None, None, "d"), ("b",)),
     MatchConfig: ({"tau": DEFAULT_TAU, "beta": 1,
                    "class_weights": (DEFAULT_BG_WEIGHT, DEFAULT_FG_WEIGHT),
                    "reg_weight": DEFAULT_REG_WEIGHT, "one2many_weight": DEFAULT_ONE2MANY_WEIGHT},
@@ -162,8 +163,8 @@ def test_validation_messages(build, message):
 
 
 def test_the_cli_and_the_reader_replace_and_dump_fields(tmp_path):
-    # cmd_match renumbers a table's classes and sizes the class weights with
-    # _replace, which keeps the other fields and checks again; its report
+    # the reader sets a table's digest and cmd_match sizes the class weights
+    # with _replace, which keeps the other fields and checks again; its report
     # lists the losses in _asdict's field order
     path = str(tmp_path / "pred.csv")
     write_point_file(path, [PointRecord("a", 1.0, 0.0, 3, confidences=(0.1, 0.2, 0.3, 0.4))])
