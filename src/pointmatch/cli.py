@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -23,7 +22,7 @@ import numpy as np
 # process loads only the modules its command needs
 from . import __version__, matching, pointfile
 from .pointfile import PointFileError, PointRecord
-from .types import Aggregate, Protocol, as_point_set
+from .types import Aggregate, Protocol, as_point_set, distance_matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -255,18 +254,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_match(args) -> int:
-    # the options are checked before the files are read; the class weights
-    # are sized once the files give the number of classes
-    config = matching.MatchConfig(
+    config = matching.MatchConfig(  # checks the options before any file is read
         tau=args.tau,
         beta=args.beta,
-        class_weights=(args.lambda_bg, args.lambda_fg),
+        bg_weight=args.lambda_bg,
+        fg_weight=args.lambda_fg,
         reg_weight=args.lambda_reg,
         one2many_weight=args.lambda_one2many,
     )
     tables = tuple(map(pointfile.read_point_file, (args.gt, args.pred)))
-    num_classes, gt_by_image, pred_by_image = pointfile.match_inputs(*tables)
-    config = config._replace(class_weights=(args.lambda_bg,) + (args.lambda_fg,) * num_classes)
+    gt_by_image, pred_by_image = pointfile.match_inputs(*tables)
 
     images, notes = [], []
     for image_id in sorted(set(gt_by_image) | set(pred_by_image)):
@@ -281,18 +278,11 @@ def cmd_match(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"image {image_id}: {exc}") from None
         notes += dict.fromkeys(f"warning: image {image_id}: {w.message}\n" for w in caught)
-        gxy, pxy = gts.xy.tolist(), preds.xy.tolist()
+        distances = distance_matrix(gts.xy, preds.xy)  # the distances of the costs
 
         def dump(outcome):
-            pairs = []
-            for gi, pi in outcome.matched:
-                (gx, gy), (px, py) = gxy[gi], pxy[pi]
-                pairs.append({
-                    "gt_index": gi,
-                    "pred_index": pi,
-                    "distance": math.hypot(gx - px, gy - py),
-                    "cost": costs.values[gi, pi],
-                })
+            pairs = [{"gt_index": gi, "pred_index": pi, "distance": distances[gi, pi],
+                      "cost": costs.values[gi, pi]} for gi, pi in outcome.matched]
             return {"pairs": pairs, "negatives": list(outcome.negatives)}
 
         images.append({

@@ -27,21 +27,18 @@ DEFAULT_REG_WEIGHT = 2e-3
 DEFAULT_ONE2MANY_WEIGHT = 0.5
 
 
-def default_class_weights(num_classes: int) -> tuple[float, ...]:
-    """Background weight 0.5, all foreground classes weighted 10."""
-    return (DEFAULT_BG_WEIGHT,) + (DEFAULT_FG_WEIGHT,) * num_classes
-
-
 class MatchConfig(_Frozen):
-    """Hyperparameters for training-time matching and losses."""
+    """Hyperparameters for training-time matching and losses. The
+    classification loss weighs its background (negative) terms by
+    ``bg_weight`` and its matched terms, of any class, by ``fg_weight``."""
 
-    __slots__ = ("tau", "beta", "class_weights", "reg_weight", "one2many_weight")
+    __slots__ = ("tau", "beta", "bg_weight", "fg_weight", "reg_weight", "one2many_weight")
 
     def __init__(self, tau: float = DEFAULT_TAU, beta: int = 1,
-                 class_weights: tuple[float, ...] = default_class_weights(1),
+                 bg_weight: float = DEFAULT_BG_WEIGHT, fg_weight: float = DEFAULT_FG_WEIGHT,
                  reg_weight: float = DEFAULT_REG_WEIGHT,
                  one2many_weight: float = DEFAULT_ONE2MANY_WEIGHT):
-        self._set(tau, beta, class_weights, reg_weight, one2many_weight)
+        self._set(tau, beta, bg_weight, fg_weight, reg_weight, one2many_weight)
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
         try:
@@ -50,8 +47,8 @@ class MatchConfig(_Frozen):
             raise ValueError(f"beta must be an integer, not {self.beta!r}") from None
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if len(self.class_weights) < 2 or not all(0 < w < math.inf for w in self.class_weights):
-            raise ValueError("class_weights must cover background plus classes, all finite > 0")
+        if not (0 < self.bg_weight < math.inf and 0 < self.fg_weight < math.inf):
+            raise ValueError("class weights must be positive and finite")
         if not (0 <= self.reg_weight < math.inf and 0 <= self.one2many_weight < math.inf):
             raise ValueError("loss weights must be non-negative and finite")
 
@@ -72,10 +69,16 @@ class LossBreakdown(NamedTuple):
     combined: float
 
 
-def _confidences(preds: PointSet) -> np.ndarray:
-    """The proposals' confidence matrix; refuses proposals that have none."""
+def _confidences(preds: PointSet, gts: PointSet) -> np.ndarray:
+    """The proposals' confidence matrix; refuses proposals that have none
+    and a ground-truth class outside it."""
     if preds.conf is None:
         raise ValueError("proposals need a confidence matrix (PointSet.conf)")
+    classes = preds.conf.shape[1] - 1
+    if gts.cls.size and gts.cls.max() > classes:
+        raise ValueError(
+            f"gt class {gts.cls.max()} outside prediction confidence vector ({classes} classes)"
+        )
     return preds.conf
 
 
@@ -88,17 +91,10 @@ def build_cost_matrix(
     confidence for the ground-truth class. Shape N x M."""
     gts, preds = as_point_set(gts), as_point_set(preds)
     n, m = len(gts), len(preds)
-    conf = _confidences(preds) if m else None
+    conf = _confidences(preds, gts) if m else None
     values = np.zeros((n, m))
     if n and m:
-        cls = gts.cls
-        classes = conf.shape[1] - 1
-        if cls.max() > classes:
-            raise ValueError(
-                f"gt class {cls.max()} outside prediction confidence vector "
-                f"({classes} classes)"
-            )
-        values = tau * distance_matrix(gts.xy, preds.xy) - conf[:, cls].T
+        values = tau * distance_matrix(gts.xy, preds.xy) - conf[:, gts.cls].T
     return CostMatrix(values)
 
 
@@ -158,33 +154,28 @@ def classification_loss(
     outcome: MatchOutcome,
     gts: Points,
     preds: Points,
-    class_weights: tuple[float, ...],
+    bg_weight: float,
+    fg_weight: float,
 ) -> float:
     """Weighted negative log-likelihood averaged over all proposals.
 
-    Matched proposals are scored on their ground truth's class, negatives
-    on the background class (index 0). Confidences are clamped at 1e-12
-    before the log.
+    Matched proposals are scored on their ground truth's class, weighted
+    ``fg_weight``; negatives on the background class (index 0), weighted
+    ``bg_weight``. Confidences are clamped at 1e-12 before the log.
     """
     m = len(preds)
     if m == 0:
         return 0.0
-    classes = as_point_set(gts).cls
-    if classes.size and classes.max() >= len(class_weights):
-        raise ValueError(
-            f"gt class {classes.max()} has no class weight "
-            f"(class_weights covers 0..{len(class_weights) - 1})"
-        )
-    classes = classes.tolist()
-    conf = _confidences(as_point_set(preds)).tolist()
+    gts = as_point_set(gts)
+    conf = _confidences(as_point_set(preds), gts).tolist()
+    classes = gts.cls.tolist()
     total = 0.0
     for gt_idx, pred_idx in outcome.matched:
-        cls = classes[gt_idx]
-        c = max(conf[pred_idx][cls], LOG_CLAMP)
-        total -= class_weights[cls] * math.log(c)
+        c = max(conf[pred_idx][classes[gt_idx]], LOG_CLAMP)
+        total -= fg_weight * math.log(c)
     for pred_idx in outcome.negatives:
         c = max(conf[pred_idx][0], LOG_CLAMP)
-        total -= class_weights[0] * math.log(c)
+        total -= bg_weight * math.log(c)
     return total / m
 
 
@@ -216,9 +207,9 @@ def combined_loss(
     """
     gts, preds = as_point_set(gts), as_point_set(preds)
     one2one, one2many = match_hybrid(gts, preds, config)
-    cls_1v1 = classification_loss(one2one, gts, preds, config.class_weights)
+    cls_1v1 = classification_loss(one2one, gts, preds, config.bg_weight, config.fg_weight)
     reg_1v1 = regression_loss(one2one, gts, preds)
-    cls_1vn = classification_loss(one2many, gts, preds, config.class_weights)
+    cls_1vn = classification_loss(one2many, gts, preds, config.bg_weight, config.fg_weight)
     reg_1vn = regression_loss(one2many, gts, preds)
     combined = (cls_1v1 + config.reg_weight * reg_1v1) + config.one2many_weight * (
         cls_1vn + config.reg_weight * reg_1vn

@@ -383,17 +383,17 @@ def write_point_file(path: str, records: list[PointRecord]) -> None:
             (quoted if "\r" in r.image_id else writer).writerow(row)
 
 
-def match_inputs(gt: PointTable, pred: PointTable) -> tuple[int, dict, dict]:
-    """The number of classes K of ``match`` and its ground-truth and
-    proposal PointSets by image, each proposal with its (bg, 1..K)
-    confidence matrix ``conf``.
+def match_inputs(gt: PointTable, pred: PointTable) -> tuple[dict, dict]:
+    """The ground-truth and proposal PointSets of ``match`` by image, its
+    classes numbered 1..K and each proposal with its (bg, 1..K) confidence
+    matrix ``conf``.
 
-    Only the classes that occur need a column and all foreground weights
-    are equal, so numbering them 1..K and keeping only their vector columns
-    changes no cost or loss. Records with full confidence vectors are taken
-    as-is; records with a single confidence c are treated as one-class
-    predictions (bg = 1 - c); records with no confidence get full confidence
-    for their class.
+    Only the classes that occur need a column and the classification loss
+    weighs every foreground class alike, so numbering them 1..K and keeping
+    only their vector columns changes no cost or loss. Records with full
+    confidence vectors are taken as-is; records with a single confidence c
+    are treated as one-class predictions (bg = 1 - c); records with no
+    confidence get full confidence for their class.
     """
     # return_index takes the stable sort matching already runs
     occurring, _, cls = np.unique(np.concatenate([gt.cls, pred.cls]),
@@ -426,4 +426,4 @@ def match_inputs(gt: PointTable, pred: PointTable) -> tuple[int, dict, dict]:
         return {image_id: PointSet(table.xy[r], cls[r], None if conf is None else conf[r])
                 for image_id, r in zip(table.image_ids, rows)}
 
-    return k, by_image(gt, gt_cls), by_image(pred, pred_cls, conf)
+    return by_image(gt, gt_cls), by_image(pred, pred_cls, conf)

@@ -208,7 +208,7 @@ def _loss_fixture():
     return gts, preds
 
 
-def _oracle_combined(gts, preds, tau, beta, class_weights, reg_weight, one2many_weight):
+def _oracle_combined(gts, preds, tau, beta, bg_weight, fg_weight, reg_weight, one2many_weight):
     """Straight-line re-implementation used only as a cross-check: brute-force
     assignment enumeration plus literal loss formulas."""
     m = len(preds)
@@ -229,12 +229,12 @@ def _oracle_combined(gts, preds, tau, beta, class_weights, reg_weight, one2many_
         matched_preds = {j for _, j in matched}
         cls = 0.0
         for i, j in matched:
-            cls -= class_weights[gts[i].class_id] * math.log(
+            cls -= fg_weight * math.log(
                 max(preds[j].confidences[gts[i].class_id], 1e-12)
             )
         for j in range(m):
             if j not in matched_preds:
-                cls -= class_weights[0] * math.log(max(preds[j].confidences[0], 1e-12))
+                cls -= bg_weight * math.log(max(preds[j].confidences[0], 1e-12))
         cls /= m
         if matched:
             reg = sum(
@@ -267,12 +267,13 @@ def test_criterion_6_loss_arithmetic():
     cfg = MatchConfig(
         tau=0.05,
         beta=2,
-        class_weights=(0.5, 10.0, 10.0),
+        bg_weight=0.5,
+        fg_weight=10.0,
         reg_weight=2e-3,
         one2many_weight=0.5,
     )
     got = combined_loss(gts, preds, cfg).combined
-    want = _oracle_combined(gts, preds, 0.05, 2, (0.5, 10.0, 10.0), 2e-3, 0.5)
+    want = _oracle_combined(gts, preds, 0.05, 2, 0.5, 10.0, 2e-3, 0.5)
     assert abs(got - want) <= 1e-10 * abs(want)
     report("6 loss arithmetic", f"combined={got:.12f} matches scripted oracle")
 

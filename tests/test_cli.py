@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import pointmatch
 from pointmatch import evaluation, matching, pointfile
 from pointmatch.cli import main
-from pointmatch.pointfile import read_point_file, write_point_file
+from pointmatch.pointfile import PointRecord, read_point_file, write_point_file
 
 
 def run(capsys, *argv):
@@ -45,13 +46,14 @@ def strict_loads(text):
 
 
 def record_match_classes(monkeypatch) -> list:
-    """The number of classes each ``match`` run takes from its input files."""
+    """The number of classes K each ``match`` run takes from its input files,
+    read off the width of its proposals' (bg, 1..K) confidence matrices."""
     widths = []
     match_inputs = pointfile.match_inputs
 
     def recording(gt, pred):
         inputs = match_inputs(gt, pred)
-        widths.append(inputs[0])
+        widths.extend({preds.conf.shape[1] - 1 for preds in inputs[1].values()})
         return inputs
 
     monkeypatch.setattr(pointfile, "match_inputs", recording)
@@ -386,6 +388,38 @@ class TestMatch:
         code, out, _ = run(capsys, "match", str(gt), str(pred), "--beta", "2")
         assert code == 0
         assert len(strict_loads(out)["images"][0]["one_to_many"]["pairs"]) == 2
+
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_dumped_costs_are_tau_times_dumped_distances_minus_conf(self, tmp_path, capsys,
+                                                                     beta):
+        # a distance computed apart from the cost's, as math.hypot, can differ in its last bit
+        rng = random.Random(5)
+        gts, preds = [], []
+        for image in ("b", "a", "c"):
+            for cls in [1, 2, 3] + [rng.randint(1, 3) for _ in range(5)]:
+                x, y = rng.uniform(0, 200), rng.uniform(0, 200)
+                gts.append(PointRecord(image, x, y, cls))
+                for _ in range(5):
+                    raw = [rng.random() for _ in range(4)]
+                    vector = tuple(v / sum(raw) for v in raw)
+                    preds.append(PointRecord(image, x + rng.gauss(0, 3), y + rng.gauss(0, 3),
+                                             rng.randint(1, 3), confidences=vector))
+        gt, pred = str(tmp_path / "gt.csv"), str(tmp_path / "pred.csv")
+        write_point_file(gt, gts)
+        write_point_file(pred, preds)
+        code, out, err = run(capsys, "match", gt, pred, "--beta", str(beta))
+        assert (code, err) == (0, "")
+        checked = 0
+        for image in strict_loads(out)["images"]:
+            image_gts = [r for r in gts if r.image_id == image["image_id"]]
+            image_preds = [r for r in preds if r.image_id == image["image_id"]]
+            for section in ("one_to_one", "one_to_many"):
+                for p in image[section]["pairs"]:
+                    conf = image_preds[p["pred_index"]].confidences
+                    expected = 0.05 * p["distance"] - conf[image_gts[p["gt_index"]].class_id]
+                    assert p["cost"] == expected, p
+                    checked += 1
+        assert checked == 3 * 8 * (1 + beta)
 
     def test_beta_beyond_numpy_integers(self, golden_inputs, capsys):
         # a ground truth cannot take more than the file's five proposals

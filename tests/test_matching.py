@@ -13,7 +13,6 @@ from pointmatch.matching import (
     build_cost_matrix,
     classification_loss,
     combined_loss,
-    default_class_weights,
     match_hybrid,
     match_one_to_one,
     regression_loss,
@@ -85,7 +84,6 @@ def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
     """A PredictedPoint list and the PointSet that ``match_inputs`` reads
     from the same records give the same costs, pairs, negatives and losses."""
     rng = random.Random(40 + num_classes)
-    weights = default_class_weights(num_classes)
     # every class occurs in another image, so match_inputs renumbers none
     gt_path = str(tmp_path / "gt.csv")
     write_point_file(gt_path, [PointRecord("other", 0, 0, c) for c in range(1, num_classes + 1)])
@@ -98,15 +96,15 @@ def test_predicted_point_adapter_matches_grouped_columns(tmp_path, num_classes):
                         confidences=p.confidences)
             for p in preds
         ])
-        k, _, by_image = match_inputs(read_point_file(gt_path), read_point_file(path))
-        assert k == num_classes
+        _, by_image = match_inputs(read_point_file(gt_path), read_point_file(path))
         columns = by_image["im"]
+        assert columns.conf.shape[1] - 1 == num_classes
         adapted = as_point_set(preds)
         assert np.array_equal(adapted.xy, columns.xy) and np.array_equal(adapted.cls, columns.cls)
         assert np.array_equal(build_cost_matrix(gts, preds).values,
                               build_cost_matrix(gts, columns).values)
         for beta in (1, 2, 4):
-            cfg = MatchConfig(beta=beta, class_weights=weights)
+            cfg = MatchConfig(beta=beta)
             outcomes = match_hybrid(gts, preds, cfg)
             assert outcomes == match_hybrid(gts, columns, cfg)
             for outcome in outcomes:
@@ -273,13 +271,13 @@ class TestClassificationLoss:
         gts = [LabeledPoint(0, 0, 1)]
         preds = [PredictedPoint(0, 0, (0.0, 1.0)), PredictedPoint(5, 5, (1.0, 0.0))]
         out = MatchOutcome(matched=((0, 0),), negatives=(1,))
-        assert classification_loss(out, gts, preds, (0.5, 10.0)) == 0.0
+        assert classification_loss(out, gts, preds, 0.5, 10.0) == 0.0
 
     def test_single_matched_half_confidence(self):
         gts = [LabeledPoint(0, 0, 1)]
         preds = [PredictedPoint(0, 0, (0.5, 0.5))]
         out = MatchOutcome(matched=((0, 0),), negatives=())
-        assert classification_loss(out, gts, preds, (0.5, 10.0)) == pytest.approx(
+        assert classification_loss(out, gts, preds, 0.5, 10.0) == pytest.approx(
             10 * math.log(2)
         )
 
@@ -287,7 +285,7 @@ class TestClassificationLoss:
         gts = [LabeledPoint(0, 0, 1)]
         preds = [PredictedPoint(0, 0, (0.0, 1.0)), PredictedPoint(5, 5, (0.5, 0.5))]
         out = MatchOutcome(matched=((0, 0),), negatives=(1,))
-        assert classification_loss(out, gts, preds, (0.5, 10.0)) == pytest.approx(
+        assert classification_loss(out, gts, preds, 0.5, 10.0) == pytest.approx(
             0.5 * math.log(2) / 2
         )
 
@@ -295,7 +293,7 @@ class TestClassificationLoss:
         rng = random.Random(5)
         gts, preds = random_scene(rng, 3, 8)
         out = match_one_to_one(gts, preds)
-        base = classification_loss(out, gts, preds, (0.5, 10.0))
+        base = classification_loss(out, gts, preds, 0.5, 10.0)
         perm = list(range(8))
         rng.shuffle(perm)
         preds2 = [preds[j] for j in perm]
@@ -304,26 +302,31 @@ class TestClassificationLoss:
             matched=tuple(sorted((g, remap[p]) for g, p in out.matched)),
             negatives=tuple(sorted(remap[p] for p in out.negatives)),
         )
-        assert classification_loss(out2, gts, preds2, (0.5, 10.0)) == pytest.approx(base)
+        assert classification_loss(out2, gts, preds2, 0.5, 10.0) == pytest.approx(base)
 
     def test_proposals_without_confidences(self):
         # the same refusal as build_cost_matrix's
         out = MatchOutcome(matched=((0, 0),), negatives=())
         preds = as_point_set([LabeledPoint(1, 1, 1)])
         with pytest.raises(ValueError, match="confidence matrix"):
-            classification_loss(out, [LabeledPoint(0, 0, 1)], preds, (0.5, 10.0))
+            classification_loss(out, [LabeledPoint(0, 0, 1)], preds, 0.5, 10.0)
 
-    def test_class_without_weight(self):
-        # the default config weights background and class 1 only
-        with pytest.raises(ValueError, match="gt class 2 has no class weight"):
-            combined_loss([LabeledPoint(0, 0, 2)], [PredictedPoint(0, 0, (0.1, 0.2, 0.7))])
+    def test_class_outside_confidences(self):
+        # the same refusal as build_cost_matrix's, not an IndexError
+        out = MatchOutcome(matched=((0, 0),), negatives=())
+        gts, preds = [LabeledPoint(0, 0, 3)], [PredictedPoint(0, 0, (0.5, 0.5))]
+        message = r"^gt class 3 outside prediction confidence vector \(1 classes\)$"
+        with pytest.raises(ValueError, match=message):
+            build_cost_matrix(gts, preds)
+        with pytest.raises(ValueError, match=message):
+            classification_loss(out, gts, preds, 0.5, 10.0)
 
     def test_weight_scaling_is_linear(self):
         rng = random.Random(6)
         gts, preds = random_scene(rng, 2, 6)
         out = match_one_to_one(gts, preds)
-        base = classification_loss(out, gts, preds, (0.5, 10.0))
-        scaled = classification_loss(out, gts, preds, (0.5 * 3, 10.0 * 3))
+        base = classification_loss(out, gts, preds, 0.5, 10.0)
+        scaled = classification_loss(out, gts, preds, 0.5 * 3, 10.0 * 3)
         assert scaled == pytest.approx(3 * base)
 
 
@@ -394,6 +397,31 @@ class TestCombinedLoss:
             assert losses.combined == pytest.approx(expected, rel=1e-12)
             assert min(losses.cls_1v1, losses.reg_1v1, losses.cls_1vN, losses.reg_1vN) >= 0
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_default_config_weighs_classes_1_to_3_alike(self, beta):
+        # one foreground weight serves every class, so no config is sized to the classes
+        rng = random.Random(13 + beta)
+        for _ in range(10):
+            m = rng.randint(6, 12)
+            gts, preds = random_scene(rng, rng.randint(1, m // beta), m, num_classes=3)
+            gts[0] = LabeledPoint(gts[0].x, gts[0].y, 3)
+            cfg = MatchConfig(beta=beta)  # the default weights
+            got = combined_loss(gts, preds, cfg)
+
+            def literal(outcome):
+                matched = {p for _, p in outcome.matched}
+                cls = -sum(10.0 * math.log(max(preds[p].confidences[gts[g].class_id], 1e-12))
+                           for g, p in outcome.matched)
+                cls -= sum(0.5 * math.log(max(preds[p].confidences[0], 1e-12))
+                           for p in range(m) if p not in matched)
+                reg = sum((gts[g].x - preds[p].x) ** 2 + (gts[g].y - preds[p].y) ** 2
+                          for g, p in outcome.matched) / len(outcome.matched)
+                return cls / m + 2e-3 * reg
+
+            one2one, one2many = match_hybrid(gts, preds, cfg)
+            assert got.combined == pytest.approx(literal(one2one) + 0.5 * literal(one2many),
+                                                 rel=1e-12)
+
     def test_losses_independent_of_tau_at_fixed_matching(self):
         # tau only enters through the matching; with the matching frozen the
         # loss components must not move at all
@@ -401,9 +429,9 @@ class TestCombinedLoss:
         gts, preds = random_scene(rng, 2, 8)
         cfg = MatchConfig(tau=0.05, beta=2)
         one2one, one2many = match_hybrid(gts, preds, cfg)
-        ref_cls = classification_loss(one2one, gts, preds, cfg.class_weights)
+        ref_cls = classification_loss(one2one, gts, preds, cfg.bg_weight, cfg.fg_weight)
         ref_reg = regression_loss(one2many, gts, preds)
-        assert classification_loss(one2one, gts, preds, cfg.class_weights) == ref_cls
+        assert classification_loss(one2one, gts, preds, cfg.bg_weight, cfg.fg_weight) == ref_cls
         assert regression_loss(one2many, gts, preds) == ref_reg
 
 
@@ -418,9 +446,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="beta must be an integer"):
             MatchConfig(beta=beta)
     assert MatchConfig(beta=np.int64(3)).beta == 3
-    for weights in ((0.5,), (math.nan, 10.0), (0.5, math.inf)):
-        with pytest.raises(ValueError):
-            MatchConfig(class_weights=weights)
+    for bg, fg in ((0.0, 10.0), (-0.5, 10.0), (math.nan, 10.0), (0.5, math.inf), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="^class weights must be positive and finite$"):
+            MatchConfig(bg_weight=bg, fg_weight=fg)
     for weight in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             MatchConfig(reg_weight=weight)

@@ -155,26 +155,26 @@ class TestGrouping:
             PointRecord("b", 1, 1, 2),
             PointRecord("a", 2, 2, 1),
         ]
-        _, groups, _ = match_inputs(table(tmp_path, records), table(tmp_path, []))
+        groups, _ = match_inputs(table(tmp_path, records), table(tmp_path, []))
         assert set(groups) == {"a", "b"}
         assert len(groups["a"]) == 2
 
     def test_group_predicted_single_confidence(self, tmp_path):
         gt = table(tmp_path, [PointRecord("a", 5, 5, 1)])
         records = [PointRecord("a", 0, 0, 2, confidence=0.8)]
-        k, _, groups = match_inputs(gt, table(tmp_path, records))
-        assert k == 2
+        _, groups = match_inputs(gt, table(tmp_path, records))
+        assert groups["a"].conf.shape[1] - 1 == 2  # K
         assert groups["a"].conf[0].tolist() == [0.19999999999999996, 0.0, 0.8]
 
     def test_group_predicted_full_vector(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidences=(0.1, 0.9))]
-        k, _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
-        assert k == 1
+        _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
+        assert groups["a"].conf.shape[1] - 1 == 1  # K
         assert groups["a"].conf[0].tolist() == [0.1, 0.9]
 
     def test_group_predicted_missing_confidence(self, tmp_path):
         records = [PointRecord("a", 0, 0, 1, confidence=0.25), PointRecord("a", 1, 1, 1)]
-        _, _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
+        _, groups = match_inputs(table(tmp_path, []), table(tmp_path, records))
         assert groups["a"].conf.tolist() == [[0.75, 0.25], [0.0, 1.0]]
 
 
@@ -272,7 +272,7 @@ def test_parse_and_group_run_few_collections(tmp_path):
     gc.set_threshold(700, 10, 10)
     gc.callbacks.append(count)
     try:
-        _, _, groups = match_inputs(gt, read_point_file(path))
+        _, groups = match_inputs(gt, read_point_file(path))
     finally:
         gc.callbacks.remove(count)
         gc.set_threshold(*threshold)

@@ -41,9 +41,9 @@ TYPES = {
                  (("a",), np.zeros(1, dtype=np.intp), np.zeros((1, 2)),
                   np.ones(1, dtype=np.int64), None, None, "d"), ("b",)),
     MatchConfig: ({"tau": DEFAULT_TAU, "beta": 1,
-                   "class_weights": (DEFAULT_BG_WEIGHT, DEFAULT_FG_WEIGHT),
+                   "bg_weight": DEFAULT_BG_WEIGHT, "fg_weight": DEFAULT_FG_WEIGHT,
                    "reg_weight": DEFAULT_REG_WEIGHT, "one2many_weight": DEFAULT_ONE2MANY_WEIGHT},
-                  (0.1, 2, (1.0, 2.0), 0.5, 0.25), 0.2),
+                  (0.1, 2, 1.0, 2.0, 0.5, 0.25), 0.2),
     MatchOutcome: ({"matched": REQUIRED, "negatives": REQUIRED}, (((0, 1),), (0,)), ()),
     LossBreakdown: ({"cls_1v1": REQUIRED, "reg_1v1": REQUIRED, "cls_1vN": REQUIRED,
                      "reg_1vN": REQUIRED, "combined": REQUIRED}, (1.0, 2.0, 3.0, 4.0, 5.0), 0.0),
@@ -131,8 +131,7 @@ def test_equality_hashing_and_immutability(kind):
     (lambda: MatchConfig(tau=0.0), "tau must be positive and finite"),
     (lambda: MatchConfig(beta=1.5), "beta must be an integer, not 1.5"),
     (lambda: MatchConfig(beta=0), "beta must be >= 1"),
-    (lambda: MatchConfig(class_weights=(1.0,)),
-     "class_weights must cover background plus classes, all finite > 0"),
+    (lambda: MatchConfig(fg_weight=math.inf), "class weights must be positive and finite"),
     (lambda: MatchConfig(one2many_weight=-1.0), "loss weights must be non-negative and finite"),
     (lambda: MatchConfig()._replace(beta=0), "beta must be >= 1"),
     (lambda: EvalConfig(radius=math.inf), "radius must be positive and finite"),
@@ -163,9 +162,8 @@ def test_validation_messages(build, message):
 
 
 def test_the_cli_and_the_reader_replace_and_dump_fields(tmp_path):
-    # the reader sets a table's digest and cmd_match sizes the class weights
-    # with _replace, which keeps the other fields and checks again; its report
-    # lists the losses in _asdict's field order
+    # the reader sets a table's digest with _replace, which keeps the other
+    # fields; cmd_match's report lists the losses in _asdict's field order
     path = str(tmp_path / "pred.csv")
     write_point_file(path, [PointRecord("a", 1.0, 0.0, 3, confidences=(0.1, 0.2, 0.3, 0.4))])
     table = read_point_file(path)
@@ -173,9 +171,6 @@ def test_the_cli_and_the_reader_replace_and_dump_fields(tmp_path):
     renumbered = table._replace(cls=np.array([1]))
     assert type(renumbered) is PointTable and renumbered.cls.tolist() == [1]
     assert renumbered.digest == table.digest and renumbered.confidences is table.confidences
-    config = MatchConfig(0.1, 2, (0.5, 10.0), 0.01, 0.25)
-    assert config._replace(class_weights=(0.5, 10.0, 10.0)) == MatchConfig(
-        0.1, 2, (0.5, 10.0, 10.0), 0.01, 0.25)
     assert list(LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0)._asdict().items()) == [
         ("cls_1v1", 1.0), ("reg_1v1", 2.0), ("cls_1vN", 3.0), ("reg_1vN", 4.0), ("combined", 5.0)]
     gt = tmp_path / "gt.csv"
