@@ -9,18 +9,16 @@ import argparse
 import json
 import os
 import sys
+import time
 import warnings
-from datetime import datetime, timezone
 
 # no command calls BLAS, so numpy's OpenBLAS need not start a spinning worker per CPU
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-# evaluation and synth are imported by the commands that run them, so a
-# process loads only the modules its command needs
-from . import __version__, matching, pointfile
+# evaluation, matching and synth are imported by the commands that run
+# them, so a process loads only the modules its command needs
+from . import __version__, pointfile, types
 from .pointfile import PointFileError, PointRecord
 from .types import Aggregate, Protocol, as_point_set, distance_matrix
 
@@ -70,12 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="training-style matching and loss dump")
     p_match.add_argument("gt")
     p_match.add_argument("pred")
-    p_match.add_argument("--tau", type=float, default=matching.DEFAULT_TAU)
+    p_match.add_argument("--tau", type=float, default=types.DEFAULT_TAU)
     p_match.add_argument("--beta", type=int, default=1)
-    p_match.add_argument("--lambda-bg", type=float, default=matching.DEFAULT_BG_WEIGHT)
-    p_match.add_argument("--lambda-fg", type=float, default=matching.DEFAULT_FG_WEIGHT)
-    p_match.add_argument("--lambda-reg", type=float, default=matching.DEFAULT_REG_WEIGHT)
-    p_match.add_argument("--lambda-one2many", type=float, default=matching.DEFAULT_ONE2MANY_WEIGHT)
+    p_match.add_argument("--lambda-bg", type=float, default=types.DEFAULT_BG_WEIGHT)
+    p_match.add_argument("--lambda-fg", type=float, default=types.DEFAULT_FG_WEIGHT)
+    p_match.add_argument("--lambda-reg", type=float, default=types.DEFAULT_REG_WEIGHT)
+    p_match.add_argument("--lambda-one2many", type=float, default=types.DEFAULT_ONE2MANY_WEIGHT)
     p_match.add_argument("--format", dest="fmt", default="json", choices=["json", "table"])
     p_match.add_argument("--output", default=None)
 
@@ -121,7 +119,7 @@ def _load_eval_inputs(args):
     evaluation.EvalConfig(radius=args.radius)  # refuses a radius that is not positive and finite
     gt_table, pred_table = map(pointfile.read_point_file, (args.gt, args.pred))
     class_ids, names = _parse_classes(args)
-    observed = set(np.union1d(gt_table.cls, pred_table.cls).tolist())
+    observed = set(gt_table.cls.tolist()) | set(pred_table.cls.tolist())
     if class_ids is None:
         class_ids = tuple(sorted(observed)) or (1,)
     else:
@@ -143,7 +141,7 @@ def _write_report(args, tables, config: dict, payload: dict, render) -> int:
         "tool_version": __version__,
         "config": config,
         "input_digests": {path: t.digest for path, t in zip((args.gt, args.pred), tables)},
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     if args.fmt == "json":
         text = json.dumps({**payload, "manifest": manifest}, indent=2, sort_keys=True)
@@ -254,6 +252,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from . import matching
+
     config = matching.MatchConfig(  # checks the options before any file is read
         tau=args.tau,
         beta=args.beta,

@@ -158,7 +158,9 @@ def _evaluate(gt, pred, radius, class_ids, protocols):
         return key[order], xy[np.flatnonzero(hit)[order]]
 
     (gk, gxy), (pk, pxy) = by_cell(*gt), by_cell(*pred)
-    keys = np.union1d(gk, pk)
+    # the union of the keys (keys >= 0): np.union1d would import numpy.ma
+    keys = np.sort(np.concatenate([gk, pk]))
+    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
     glo, ghi, plo, phi = (np.searchsorted(k, keys, s) for k in (gk, pk) for s in ("left", "right"))
     n, m = ghi - glo, phi - plo
     over = np.flatnonzero(n * m > CELL_DISTANCES)

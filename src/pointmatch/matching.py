@@ -13,18 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .assignment import solve_min_cost
-from .types import (CELL_DISTANCES, CostMatrix, Points, PointSet, _Frozen, as_point_set,
-                    distance_matrix)
+from .types import (CELL_DISTANCES, DEFAULT_BG_WEIGHT, DEFAULT_FG_WEIGHT,
+                    DEFAULT_ONE2MANY_WEIGHT, DEFAULT_REG_WEIGHT, DEFAULT_TAU, CostMatrix,
+                    Points, PointSet, _Frozen, as_point_set, distance_matrix)
 
 LOG_CLAMP = 1e-12
-
-# defaults: distance weight 0.05, background weight 0.5, foreground weight 10,
-# regression weight 2e-3, one-to-many branch weight 0.5
-DEFAULT_TAU = 0.05
-DEFAULT_BG_WEIGHT = 0.5
-DEFAULT_FG_WEIGHT = 10.0
-DEFAULT_REG_WEIGHT = 2e-3
-DEFAULT_ONE2MANY_WEIGHT = 0.5
 
 
 class MatchConfig(_Frozen):

@@ -11,15 +11,15 @@ variant is an array of objects with the same field names (``confidences``
 holds the vector); ``image_id`` must be a JSON string.
 
 A file is read into one ``PointTable`` of numpy columns, validated as a
-whole; the first faulty line is located only once a check fails. A plain
-CSV is split into columns with no object per row, one with quotes, CR or
-over-long lines is read by ``csv.reader``; a NUL is refused on its line.
+whole. A plain CSV is split into columns with no object per row, holding
+the cells of one chunk of its lines at a time; one with quotes, CR or
+over-long lines, or with a fault, is read by ``csv.reader``, which locates
+the first faulty line. A NUL is refused on its line.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -33,7 +33,16 @@ import numpy as np
 
 from .types import _COORD_ERROR, _MAX_COORD, PointSet, _Frozen
 
+try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto for it
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
+
 _BASE_COLUMNS = ["image_id", "x", "y", "class_id"]
+_CHUNK = 1 << 16  # characters of a plain CSV split at a time, about 1,000 lines
 
 
 class PointFileError(Exception):
@@ -122,11 +131,18 @@ def _column(cells, dtype) -> np.ndarray:
         raise
 
 
-def _table(image_id, xy, cls, confidence=None, confidences=None,
+def _codes(index: dict, image_id) -> np.ndarray:
+    """The records' image codes in ``index``, which codes a new id by its order of appearance."""
+    for i in dict.fromkeys(image_id):
+        index.setdefault(i, len(index))
+    return np.fromiter(map(index.__getitem__, image_id), dtype=np.intp, count=len(image_id))
+
+
+def _table(index: dict, image, xy, cls, confidence=None, confidences=None,
            no_confidence=None, no_vector=None) -> PointTable:
     """Validate the columns, then mark with NaN the records that have no
-    confidence or no vector, whose cells hold zero placeholders until then,
-    and code each record's image id by its image's order of appearance."""
+    confidence or no vector, whose cells hold zero placeholders until then;
+    ``image`` holds the records' codes of the image ids in ``index``."""
     checks = [
         (cls < 1, "class_id must be >= 1"),
         (~(np.abs(xy) <= _MAX_COORD).all(axis=1), _COORD_ERROR),
@@ -152,34 +168,11 @@ def _table(image_id, xy, cls, confidence=None, confidences=None,
             columns[i][missing] = np.nan
         if not len(cls) or missing is not None and missing.all():
             columns[i] = None  # no record fills the column, as in JSON
-    index = {image_id: code for code, image_id in enumerate(dict.fromkeys(image_id))}
-    image = np.fromiter(map(index.__getitem__, image_id), dtype=np.intp, count=len(cls))
     return PointTable(tuple(index), image, xy, cls, *columns)
 
 
-def _parse_csv(lines: io.TextIOBase) -> PointTable:
-    text = lines.read()
-    if "\0" in text:  # Python 3.10's csv refuses a NUL, later versions read it
-        line = len(io.StringIO(text[: text.index("\0") + 1], newline="").readlines())
-        raise PointFileError(f"line {line}: line contains NUL")
-    # without a quote, a CR or a line past the field size limit, csv.reader's
-    # rows are the comma-separated fields of the lines between the \n's
-    # (str.splitlines also breaks at \x0b, \x85 or \u2028, which csv keeps)
-    plain = None if not text or '"' in text or "\r" in text else text.split("\n")
-    del text
-    if plain is not None and max(map(len, plain)) <= csv.field_size_limit():
-        header = plain[0].split(",")
-    else:
-        plain = None
-        lines.seek(0)
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-            rows = list(reader)
-        except StopIteration:
-            raise PointFileError("line 1: missing header") from None
-        except csv.Error as exc:  # e.g. an unclosed quote runs past the field size limit
-            raise PointFileError(f"line {reader.line_num}: {exc}") from None
+def _extra_columns(header: list) -> list:
+    """The columns a CSV header names after image_id,x,y,class_id."""
     header = [h.strip() for h in header]
     if header[:4] != _BASE_COLUMNS:
         raise PointFileError("line 1: header must start with image_id,x,y,class_id")
@@ -189,31 +182,86 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
         raise PointFileError(
             "line 1: extra columns must be confidence or conf_bg,conf_1,...,conf_T"
         )
-    width = len(header)
+    return extra
 
-    def from_columns(columns) -> PointTable:
-        xy = np.stack([_column(columns[1], float), _column(columns[2], float)], axis=1)
-        cls = _column(columns[3], np.int64)
-        image_id = columns[0]
-        if not extra:
-            return _table(image_id, xy, cls)
+
+def _csv_table(chunks, extra: list) -> PointTable:
+    """The table of a CSV's records from chunks of their columns of cells:
+    each chunk is converted on its own, the joined columns validated once."""
+    index, parts = {}, []
+    for columns in chunks:
         cells = columns[4:]
         # a row whose extra cells are all empty is a record without a
         # confidence (vector); a row with only some empty fails to parse
-        empty = None
+        empty = np.zeros(len(columns[0]), dtype=bool)
         if any("" in c for c in cells):
             empty = np.logical_and.reduce([np.array(c) == "" for c in cells])
             cells = [["0" if e else v for v, e in zip(c, empty)] for c in cells]
-        values = np.stack([_column(c, float) for c in cells], axis=1)
-        if extra == ["confidence"]:
-            return _table(image_id, xy, cls, values[:, 0], no_confidence=empty)
-        return _table(image_id, xy, cls, confidences=values, no_vector=empty)
+        parts.append([_codes(index, columns[0]), _column(columns[1], float),
+                      _column(columns[2], float), _column(columns[3], np.int64), empty,
+                      *(_column(c, float) for c in cells)])
+    image, x, y, cls, empty, *values = map(np.concatenate, zip(*parts))
+    xy = np.stack([x, y], axis=1)
+    if not extra:
+        return _table(index, image, xy, cls)
+    if extra == ["confidence"]:
+        return _table(index, image, xy, cls, values[0], no_confidence=empty)
+    return _table(index, image, xy, cls, confidences=np.stack(values, axis=1), no_vector=empty)
+
+
+def _split_chunks(text: str):
+    """The header's cells of a text without a quote or CR, then its records'
+    columns of cells, a chunk of about ``_CHUNK`` characters of lines at a
+    time; _BadRow at a line past the field size limit, where csv.reader's
+    rows could differ, or at a record whose width is not the header's."""
+    limit, start = csv.field_size_limit(), text.find("\n") + 1 or len(text) + 1
+    header = text[: start - 1]
+    width = header.count(",") + 1
+    yield header.split(",")
+    while True:
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        records = list(filter(None, text[start:end].split("\n")))
+        if (max(map(len, [header, *records])) > limit
+                or set(map(str.count, records, repeat(","))) - {width - 1}):
+            raise _BadRow(0, "a line past the field size limit or of another width")
+        cells = ",".join(records).split(",") if records else []
+        yield [cells[j::width] for j in range(width)]
+        if end >= len(text):
+            return
+        start = end
+
+
+def _parse_csv(lines: io.TextIOBase) -> PointTable:
+    text = lines.read()
+    if "\0" in text:  # Python 3.10's csv refuses a NUL, later versions read it
+        line = len(io.StringIO(text[: text.index("\0") + 1], newline="").readlines())
+        raise PointFileError(f"line {line}: line contains NUL")
+    # without a quote, a CR or a line past the field size limit, csv.reader's
+    # rows are the comma-separated fields of the lines between the \n's
+    # (str.splitlines also breaks at \x0b, \x85 or \u2028, which csv keeps);
+    # a fault sends the file to csv.reader, whose rows locate it
+    if '"' not in text and "\r" not in text:
+        with suppress(_BadRow, PointFileError):
+            chunks = _split_chunks(text)
+            return _csv_table(chunks, _extra_columns(next(chunks)))
+    del text
+    lines.seek(0)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+        rows = list(reader)
+    except StopIteration:
+        raise PointFileError("line 1: missing header") from None
+    except csv.Error as exc:  # e.g. an unclosed quote runs past the field size limit
+        raise PointFileError(f"line {reader.line_num}: {exc}") from None
+    extra = _extra_columns(header)
+    width = len(header)
 
     def build(rows) -> PointTable:
         if set(map(len, rows)) - {width}:
             short = next(i for i, row in enumerate(rows) if len(row) != width)
             raise _BadRow(short, f"expected {width} fields, got {len(rows[short])}")
-        return from_columns(list(zip(*rows)) or [()] * width)
+        return _csv_table([list(zip(*rows)) or [()] * width], extra)
 
     def where(i: int) -> str:
         # a quoted field may hold a line break, so the line each row starts
@@ -223,20 +271,6 @@ def _parse_csv(lines: io.TextIOBase) -> PointTable:
         ends = [reader.line_num for _ in reader]  # the last lines of the header and rows
         return f"line {[end + 1 for end, row in zip(ends, rows) if row][i]}"
 
-    if plain is not None:
-        # one split of the joined records, read as strided columns, with the lines
-        # freed first; a fault is located on the rows csv.reader would give
-        records = list(filter(None, plain[1:]))
-        del plain
-        if records and not set(map(str.count, records, repeat(","))) - {width - 1}:
-            joined = ",".join(records)
-            del records
-            cells = joined.split(",")
-            del joined
-            with suppress(_BadRow):
-                return from_columns([cells[j::width] for j in range(width)])
-        lines.seek(0)
-        rows = [line.split(",") if line else [] for line in lines.read().split("\n")[1:]]
     return _checked(list(filter(None, rows)), build, where)
 
 
@@ -287,8 +321,9 @@ def _json_table(data: list) -> PointTable:
     if width is not None:
         no_vector = np.array([v is None for v in vectors])
         confidences = _column([[0.0] * width if v is None else v for v in vectors], float)
-    return _table(image_id, xy, _column(cls, np.int64), confidence, confidences,
-                  no_confidence, no_vector)
+    index = {}
+    return _table(index, _codes(index, image_id), xy, _column(cls, np.int64), confidence,
+                  confidences, no_confidence, no_vector)
 
 
 def _parse_json(text: str) -> PointTable:
@@ -324,7 +359,7 @@ def read_point_file(path: str) -> PointTable:
     # text would copy the file again at 4 bytes a character
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
         table = _parse_json(lines.read()) if path.endswith(".json") else _parse_csv(lines)
-    return table._replace(digest=hashlib.sha256(data).hexdigest())
+    return table._replace(digest=sha256(data).hexdigest())
 
 
 def _plain(value):

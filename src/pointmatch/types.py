@@ -17,6 +17,16 @@ _COORD_ERROR = f"coordinates must be finite and at most {_MAX_COORD:g} in absolu
 CELL_DISTANCES = 1 << 28
 
 
+# matching's defaults: distance weight 0.05, background weight 0.5, foreground
+# weight 10, regression weight 2e-3, one-to-many branch weight 0.5; defined
+# here, as are the enums below, so the CLI can list them without matching
+DEFAULT_TAU = 0.05
+DEFAULT_BG_WEIGHT = 0.5
+DEFAULT_FG_WEIGHT = 10.0
+DEFAULT_REG_WEIGHT = 2e-3
+DEFAULT_ONE2MANY_WEIGHT = 0.5
+
+
 # the evaluation protocols and aggregations; defined here, beside the other
 # value types, so the CLI can list them without importing evaluation
 class Protocol(str, enum.Enum):

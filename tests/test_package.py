@@ -45,6 +45,9 @@ except SystemExit as exc:
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# runs the CLI as LOADED does, then prints every module the process loaded
+LOADED_ALL = LOADED.replace(' if m.split(".")[0] == "pointmatch"', "")
+
 # imports pointmatch or runs the CLI as LOADED does, optionally after
 # numpy, then prints OPENBLAS_NUM_THREADS and the process's thread count
 # (null where /proc/self/task does not exist)
@@ -67,8 +70,8 @@ threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
 """
 
-CORE = ["pointmatch", "pointmatch.assignment", "pointmatch.matching", "pointmatch.pointfile",
-        "pointmatch.types"]
+# every command reads or writes point files; only match imports matching
+CORE = ["pointmatch", "pointmatch.pointfile", "pointmatch.types"]
 
 
 def loaded_modules(*argv, script=LOADED):
@@ -97,9 +100,9 @@ def tiny_files(tmp_path):
 
 
 @pytest.mark.parametrize("command, expected", [
-    ("match", CORE),
-    ("evaluate", sorted([*CORE, "pointmatch.evaluation"])),
-    ("compare", sorted([*CORE, "pointmatch.evaluation"])),
+    ("match", sorted([*CORE, "pointmatch.assignment", "pointmatch.matching"])),
+    ("evaluate", sorted([*CORE, "pointmatch.assignment", "pointmatch.evaluation"])),
+    ("compare", sorted([*CORE, "pointmatch.assignment", "pointmatch.evaluation"])),
 ])
 def test_each_command_loads_only_its_modules(tiny_files, command, expected):
     gt, pred, out = tiny_files
@@ -121,6 +124,17 @@ def test_no_command_loads_dataclasses(tiny_files, tmp_path, command):
     loaded = loaded_modules(*argv, script=LOADED_AFTER_NUMPY)
     assert "pointmatch.types" in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate", "compare"])
+def test_no_command_loads_openssl_or_numpy_ma(tiny_files, command):
+    # hashlib's _hashlib links OpenSSL's libcrypto, and numpy.ma takes
+    # 9-15 ms to import; evaluate and compare take no matching defaults
+    gt, pred, out = tiny_files
+    loaded = set(loaded_modules(command, gt, pred, "--output", out, script=LOADED_ALL))
+    assert {"pointmatch.pointfile", "numpy"} <= loaded
+    assert not loaded & {"_hashlib", "hashlib", "numpy.ma"}
+    assert ("pointmatch.matching" in loaded) == (command == "match")
 
 
 def test_no_module_imports_dataclasses():

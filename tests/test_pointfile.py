@@ -250,6 +250,27 @@ def test_split_columns_equal_csv_reader(text_dir, text):
         assert not reader.called
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=csv_texts(), bom=st.booleans(), chunk=st.integers(1, 40))
+@example(text="image_id,x,y,class_id\n", bom=True, chunk=32)
+@example(text="image_id,x,y,class_id,confidence\n\na,1,2,1,\n\nb,3,4,2,\n", bom=False, chunk=1)
+# a header past the field size limit that is valid once its cells are stripped
+@example(text="image_id,x,y,class_id" + " " * csv.field_size_limit() + "\na,1,2,1\n", bom=False,
+         chunk=32)
+def test_chunked_split_equals_csv_reader(text_dir, text, bom, chunk):
+    # chunks of at most 40 characters, so that the records of a file are
+    # split across chunk boundaries
+    lf, crlf = text_dir / "chunked_lf.csv", text_dir / "chunked_crlf.csv"
+    lf.write_bytes(("\ufeff" * bom + text).encode())
+    crlf.write_bytes(("\ufeff" * bom + text.replace("\n", "\r\n")).encode())
+    with mock.patch.object(pointfile, "_CHUNK", chunk), \
+            mock.patch.object(pointfile.csv, "reader", wraps=csv.reader) as reader:
+        split = _outcome(str(lf))
+    assert split == _outcome(str(crlf))
+    if not isinstance(split, str) and max(map(len, text.split("\n"))) <= csv.field_size_limit():
+        assert not reader.called
+
+
 def test_parse_and_group_run_few_collections(tmp_path):
     rng = np.random.default_rng(0)
     xy = rng.uniform(0, 224, size=(20_000, 2)).tolist()
